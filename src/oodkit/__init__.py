@@ -22,6 +22,7 @@ from .heads import (
     SoftMaxHead,
     backward,
     forward_logits,
+    head_outputs,
     inference_probabilities,
     make_isomax_head,
     make_isomaxplus_head,
@@ -74,6 +75,7 @@ from .experiment import (
     ExperimentConfig,
     Report,
     compare_heads,
+    evaluate_checkpoint,
     histogram_report,
     load_checkpoint,
     load_config,

@@ -15,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import experiment, gradcheck, heads, metrics, scores
+from . import experiment, gradcheck, heads, metrics
 from .data import IdxParseError
 from .experiment import CheckpointError, ExperimentConfig
 from .model import TrainingDiverged, backbone_forward
@@ -76,13 +76,10 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     cfg = _load_config(args.config, args)
     state = experiment.load_checkpoint(
-        args.checkpoint, expected_config_hash=cfg.config_hash())
-    if state.head.kind != cfg.head:
-        raise CheckpointError(
-            f"checkpoint holds a {state.head.kind!r} head but the config says {cfg.head!r}")
+        args.checkpoint, expected_head_kind=cfg.head,
+        expected_config_hash=cfg.config_hash())
     seed = state.seed
-    _, val, heldout, scaler = experiment._seed_datasets(cfg, seed)
-    record = experiment._evaluate_seed(cfg, seed, state, val, heldout, scaler)
+    record, dumps = experiment.evaluate_checkpoint(cfg, state)
     report = experiment.Report(
         config=cfg.to_dict(), per_seed=[record],
         aggregate=experiment._aggregate(cfg, [record]),
@@ -91,16 +88,9 @@ def _cmd_eval(args) -> int:
     report_path = out / f"report_seed{seed}.json"
     with open(report_path, "w", encoding="utf-8") as f:
         f.write(report.to_json())
-    val_features = backbone_forward(state.backbone, val.inputs)
-    for i, spec in enumerate(cfg.ood):
-        ood_ds = experiment._ood_dataset(cfg, spec, i, seed, heldout, scaler)
-        ood_features = backbone_forward(state.backbone, ood_ds.inputs)
-        name = experiment._ood_name(spec, i)
-        for kind in cfg.score_kinds:
-            experiment.write_scores_csv(
-                out / f"scores_seed{seed}_{name}_{kind}.csv",
-                scores.compute_score(kind, state.head, val_features),
-                scores.compute_score(kind, state.head, ood_features))
+    for name, kind, in_scores, out_scores in dumps:
+        experiment.write_scores_csv(
+            out / f"scores_seed{seed}_{name}_{kind}.csv", in_scores, out_scores)
     print(f"evaluated seed {seed}: accuracy={record['accuracy']!r} report={report_path}")
     return 0
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
 import struct
 import time
 import warnings
@@ -34,7 +36,7 @@ from .model import (
     fit,
     make_train_state,
 )
-from .numerics import ContractViolation, shannon_entropy_rows
+from .numerics import ContractViolation
 
 REPORT_SCHEMA_VERSION = 1
 CHECKPOINT_MAGIC = b"EOODCKPT"
@@ -258,48 +260,59 @@ def _ood_dataset(cfg: ExperimentConfig, spec: dict, index: int, seed: int,
         data_mod.dataset_from_spec(spec, [seed, OOD_STREAM_BASE + index]))
 
 
-def _evaluate_seed(cfg: ExperimentConfig, seed: int, state: TrainState,
-                   val: data_mod.Dataset, heldout, scaler: InputScaler) -> dict:
-    """Accuracy plus detection metrics and score diagnostics for one seed."""
-    val_features = backbone_forward(state.backbone, val.inputs)
-    predictions = heads.predict(state.head, val_features)
-    accuracy = metrics.classification_accuracy(predictions, val.targets)
-    in_probs = heads.inference_probabilities(state.head, val_features)
-    in_entropy = shannon_entropy_rows(in_probs)
-    if cfg.head in DISTANCE_HEAD_KINDS:
-        d_in = heads.feature_prototype_distances(state.head, val_features).min(axis=1)
+def evaluate_checkpoint(cfg: ExperimentConfig, state: TrainState):
+    """Accuracy, detection metrics and score diagnostics for one trained
+    state, on the datasets rebuilt for its seed.
 
-    ood_evaluations = []
+    The head runs once on the validation split and once on each OOD set;
+    every number comes from those outputs. Returns (record, dumps): the
+    per-seed report record, and one (ood name, score kind, in_scores,
+    out_scores) tuple per OOD set and score kind, in config order.
+    """
+    _, val, heldout, scaler = _seed_datasets(cfg, state.seed)
+    return _evaluate(cfg, state, val, heldout, scaler)
+
+
+def _evaluate(cfg: ExperimentConfig, state: TrainState, val: data_mod.Dataset,
+              heldout, scaler: InputScaler):
+    """evaluate_checkpoint on datasets the caller already holds."""
+    seed = state.seed
+    val_out = heads.head_outputs(state.head, backbone_forward(state.backbone, val.inputs))
+    accuracy = metrics.classification_accuracy(np.argmax(val_out.logits, axis=1), val.targets)
+    in_scores = {kind: scores.compute_score(kind, val_out) for kind in cfg.score_kinds}
+    in_diagnostics = {"mean_entropy_in": float(val_out.entropy.mean())}
+    if val_out.distances is not None:
+        in_diagnostics["median_min_distance_in"] = float(
+            np.median(val_out.distances.min(axis=1)))
+
+    ood_evaluations, dumps = [], []
     for i, spec in enumerate(cfg.ood):
+        name = _ood_name(spec, i)
         ood_ds = _ood_dataset(cfg, spec, i, seed, heldout, scaler)
-        ood_features = backbone_forward(state.backbone, ood_ds.inputs)
-        ood_probs = heads.inference_probabilities(state.head, ood_features)
-        out_entropy = shannon_entropy_rows(ood_probs)
-        diagnostics = {
-            "mean_entropy_in": float(in_entropy.mean()),
-            "mean_entropy_out": float(out_entropy.mean()),
-        }
-        if cfg.head in DISTANCE_HEAD_KINDS:
-            d_out = heads.feature_prototype_distances(state.head, ood_features).min(axis=1)
-            diagnostics["median_min_distance_in"] = float(np.median(d_in))
-            diagnostics["median_min_distance_out"] = float(np.median(d_out))
+        ood_out = heads.head_outputs(state.head,
+                                     backbone_forward(state.backbone, ood_ds.inputs))
+        diagnostics = {**in_diagnostics, "mean_entropy_out": float(ood_out.entropy.mean())}
+        if ood_out.distances is not None:
+            diagnostics["median_min_distance_out"] = float(
+                np.median(ood_out.distances.min(axis=1)))
         records = []
         for kind in cfg.score_kinds:
-            in_scores = scores.compute_score(kind, state.head, val_features)
-            out_scores = scores.compute_score(kind, state.head, ood_features)
-            score_set = metrics.DetectionScoreSet(in_scores, out_scores)
+            out_scores = scores.compute_score(kind, ood_out)
+            score_set = metrics.DetectionScoreSet(in_scores[kind], out_scores)
             records.append({
                 "score": kind,
                 "auroc": metrics.auroc(score_set),
                 "tnr_at_tpr95": metrics.tnr_at_tpr95(score_set),
                 "dtacc": metrics.dtacc(score_set),
             })
+            dumps.append((name, kind, in_scores[kind], out_scores))
         ood_evaluations.append({
-            "ood": _ood_name(spec, i),
+            "ood": name,
             "diagnostics": diagnostics,
             "metrics": records,
         })
-    return {"seed": seed, "accuracy": accuracy, "ood_evaluations": ood_evaluations}
+    record = {"seed": seed, "accuracy": accuracy, "ood_evaluations": ood_evaluations}
+    return record, dumps
 
 
 def train_single_seed(cfg: ExperimentConfig, seed: int):
@@ -349,7 +362,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     for seed in cfg.seeds:
         try:
             state, _, val, heldout, scaler = train_single_seed(cfg, seed)
-            per_seed.append(_evaluate_seed(cfg, seed, state, val, heldout, scaler))
+            per_seed.append(_evaluate(cfg, state, val, heldout, scaler)[0])
         except TrainingDiverged as exc:
             warn.append(f"seed {seed}: training diverged: {exc}")
     report = Report(
@@ -478,19 +491,12 @@ def histogram_report(state: TrainState, in_data: data_mod.Dataset,
     """
     if bins < 2:
         raise ContractViolation("bins must be at least 2")
-    in_features = backbone_forward(state.backbone, in_data.inputs)
-    ood_features = backbone_forward(state.backbone, ood_data.inputs)
-
-    quantities = {}
-    quantities["entropy"] = (
-        shannon_entropy_rows(heads.inference_probabilities(state.head, in_features)),
-        shannon_entropy_rows(heads.inference_probabilities(state.head, ood_features)),
-    )
-    if state.head.kind in DISTANCE_HEAD_KINDS:
-        quantities["min_distance"] = (
-            heads.feature_prototype_distances(state.head, in_features).min(axis=1),
-            heads.feature_prototype_distances(state.head, ood_features).min(axis=1),
-        )
+    in_out = heads.head_outputs(state.head, backbone_forward(state.backbone, in_data.inputs))
+    ood_out = heads.head_outputs(state.head, backbone_forward(state.backbone, ood_data.inputs))
+    quantities = {"entropy": (in_out.entropy, ood_out.entropy)}
+    if in_out.distances is not None:
+        quantities["min_distance"] = (in_out.distances.min(axis=1),
+                                      ood_out.distances.min(axis=1))
 
     out = {}
     for name, (v_in, v_out) in quantities.items():
@@ -578,10 +584,19 @@ def save_checkpoint(state: TrainState, path):
 
 
 def _read_exactly(f, count: int, what: str) -> bytes:
-    buf = f.read(count)
-    if len(buf) != count:
+    # Checked against the file size first, so a corrupt length never
+    # becomes a huge allocation.
+    if count > os.fstat(f.fileno()).st_size - f.tell():
         raise CheckpointError(f"truncated checkpoint while reading {what}")
-    return buf
+    return f.read(count)
+
+
+def _read_name(f, what: str) -> str:
+    (length,) = struct.unpack("<I", _read_exactly(f, 4, what))
+    try:
+        return _read_exactly(f, length, what).decode()
+    except UnicodeDecodeError:
+        raise CheckpointError(f"{what} is not valid UTF-8") from None
 
 
 def load_checkpoint(path, expected_head_kind: str | None = None,
@@ -589,7 +604,9 @@ def load_checkpoint(path, expected_head_kind: str | None = None,
     """Rebuild a TrainState bit-exactly from save_checkpoint output.
 
     A config-hash mismatch only warns; a head-kind mismatch or any
-    structural problem raises CheckpointError.
+    structural problem raises CheckpointError, including a missing,
+    unexpected or repeated array and array shapes that disagree with
+    each other.
     """
     with open(path, "rb") as f:
         magic = _read_exactly(f, len(CHECKPOINT_MAGIC), "magic")
@@ -598,8 +615,7 @@ def load_checkpoint(path, expected_head_kind: str | None = None,
         (version,) = struct.unpack("<I", _read_exactly(f, 4, "version"))
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
-        (kind_len,) = struct.unpack("<I", _read_exactly(f, 4, "head kind"))
-        kind = _read_exactly(f, kind_len, "head kind").decode()
+        kind = _read_name(f, "head kind")
         if kind not in HEAD_KINDS:
             raise CheckpointError(f"unknown head kind {kind!r} in checkpoint")
         if expected_head_kind is not None and kind != expected_head_kind:
@@ -614,42 +630,96 @@ def load_checkpoint(path, expected_head_kind: str | None = None,
         (count,) = struct.unpack("<I", _read_exactly(f, 4, "array count"))
         arrays = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<I", _read_exactly(f, 4, "array name"))
-            name = _read_exactly(f, name_len, "array name").decode()
+            name = _read_name(f, "array name")
+            if name in arrays:
+                raise CheckpointError(f"array {name!r} appears twice")
             (ndim,) = struct.unpack("<I", _read_exactly(f, 4, "array rank"))
             shape = tuple(
                 struct.unpack("<Q", _read_exactly(f, 8, "array shape"))[0]
                 for _ in range(ndim))
-            size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            payload = _read_exactly(f, size * 8, f"array {name}")
+            payload = _read_exactly(f, math.prod(shape) * 8, f"array {name}")
             arrays[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
         if f.read(1):
             raise CheckpointError("trailing bytes after the last array")
 
-    def scalar(arr):
-        return float(np.asarray(arr).reshape(-1)[0])
-
-    layer_count = sum(1 for name in arrays if name.startswith("backbone.w"))
-    backbone = MlpBackbone(
-        weights=[arrays[f"backbone.w{i}"] for i in range(layer_count)],
-        biases=[arrays[f"backbone.b{i}"] for i in range(layer_count)],
-    )
-    if kind == "softmax":
-        head = heads.SoftMaxHead(weights=arrays["head.weights"], bias=arrays["head.bias"])
-    elif kind == "isomax":
-        head = heads.IsoMaxHead(prototypes=arrays["head.prototypes"],
-                                entropic_scale=scalar(arrays["head.entropic_scale"]))
-    else:
-        head = heads.IsoMaxPlusHead(prototypes=arrays["head.prototypes"],
-                                    distance_scale=scalar(arrays["head.distance_scale"]),
-                                    entropic_scale=scalar(arrays["head.entropic_scale"]))
-    velocities = {}
+    state = TrainState(backbone=_backbone_from_arrays(arrays),
+                       head=_head_from_arrays(kind, arrays), velocities={},
+                       epoch=int(epoch), seed=int(seed), config_hash=config_hash)
+    feature_dim = state.backbone.feature_dim
+    if feature_dim >= 0 and state.head.dim != feature_dim:
+        raise CheckpointError(
+            f"head dimension {state.head.dim} does not match the backbone's "
+            f"feature width {feature_dim}")
+    params = dict(_checkpoint_arrays(state))
     for name, arr in arrays.items():
-        if name.startswith("velocity."):
-            key = name[len("velocity."):]
-            velocities[key] = scalar(arr) if key == "head.distance_scale" else arr
-    return TrainState(backbone=backbone, head=head, velocities=velocities,
-                      epoch=int(epoch), seed=int(seed), config_hash=config_hash)
+        key = name[len("velocity."):] if name.startswith("velocity.") else None
+        if key not in params:
+            raise CheckpointError(f"unexpected array {name!r} in checkpoint")
+        if key == "head.distance_scale":
+            state.velocities[key] = _scalar(name, arr)
+        elif arr.shape == params[key].shape:
+            state.velocities[key] = arr
+        else:
+            raise CheckpointError(
+                f"array {name!r} has shape {arr.shape}, its parameter has "
+                f"{params[key].shape}")
+    return state
+
+
+def _take(arrays: dict, name: str) -> np.ndarray:
+    """Remove and return one named array; whatever stays must be a velocity."""
+    try:
+        return arrays.pop(name)
+    except KeyError:
+        raise CheckpointError(f"checkpoint has no array {name!r}") from None
+
+
+def _scalar(name: str, arr: np.ndarray) -> float:
+    if arr.size != 1:
+        raise CheckpointError(f"array {name!r} must hold one value, has shape {arr.shape}")
+    return float(arr.reshape(-1)[0])
+
+
+def _backbone_from_arrays(arrays: dict) -> MlpBackbone:
+    weights, biases = [], []
+    for i in range(sum(1 for name in arrays if name.startswith("backbone.w"))):
+        w, b = _take(arrays, f"backbone.w{i}"), _take(arrays, f"backbone.b{i}")
+        if (w.ndim != 2 or b.shape != w.shape[:1]
+                or (weights and w.shape[1] != weights[-1].shape[0])):
+            raise CheckpointError(
+                f"backbone layer {i} has weights {w.shape} and bias {b.shape}, which do "
+                f"not chain onto the layer before")
+        weights.append(w)
+        biases.append(b)
+    return MlpBackbone(weights=weights, biases=biases)
+
+
+def _head_from_arrays(kind: str, arrays: dict) -> heads.ClassifierHead:
+    if kind == "softmax":
+        head = heads.SoftMaxHead(weights=_take(arrays, "head.weights"),
+                                 bias=_take(arrays, "head.bias"))
+        matrix, name = head.weights, "head.weights"
+        if head.bias.shape != head.weights.shape[:1]:
+            raise CheckpointError(
+                f"head bias {head.bias.shape} does not match head weights "
+                f"{head.weights.shape}")
+    else:
+        entropic_scale = _scalar("head.entropic_scale", _take(arrays, "head.entropic_scale"))
+        if kind == "isomax":
+            head = heads.IsoMaxHead(prototypes=_take(arrays, "head.prototypes"),
+                                    entropic_scale=entropic_scale)
+        else:
+            distance_scale = _scalar("head.distance_scale",
+                                     _take(arrays, "head.distance_scale"))
+            head = heads.IsoMaxPlusHead(prototypes=_take(arrays, "head.prototypes"),
+                                        distance_scale=distance_scale,
+                                        entropic_scale=entropic_scale)
+        matrix, name = head.prototypes, "head.prototypes"
+    if matrix.ndim != 2 or matrix.shape[0] < 1:
+        raise CheckpointError(
+            f"array {name!r} must be a matrix with one row per class, has shape "
+            f"{matrix.shape}")
+    return head
 
 
 # ---------------------------------------------------------------------------

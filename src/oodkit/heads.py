@@ -26,6 +26,7 @@ from .numerics import (
     as_matrix,
     pairwise_euclidean,
     row_normalize,
+    shannon_entropy_rows,
     stable_softmax_rows,
 )
 
@@ -189,15 +190,20 @@ def feature_prototype_distances(head: ClassifierHead, features) -> np.ndarray:
     raise ContractViolation(f"head kind {head.kind!r} has no feature-prototype distances")
 
 
-def forward_logits(head: ClassifierHead, features) -> np.ndarray:
-    """Per-class logits, one row per feature row."""
+def _logits_and_distances(head: ClassifierHead, features):
+    """Logits plus the distances they came from (None for softmax)."""
     features = _check_features(head, features)
     if isinstance(head, SoftMaxHead):
-        return features @ head.weights.T + head.bias
+        return features @ head.weights.T + head.bias, None
     distances = feature_prototype_distances(head, features)
     if isinstance(head, IsoMaxPlusHead):
-        return -abs(head.distance_scale) * distances
-    return -distances
+        return -abs(head.distance_scale) * distances, distances
+    return -distances, distances
+
+
+def forward_logits(head: ClassifierHead, features) -> np.ndarray:
+    """Per-class logits, one row per feature row."""
+    return _logits_and_distances(head, features)[0]
 
 
 def _training_scale(head: ClassifierHead) -> float:
@@ -254,6 +260,30 @@ def predict(head: ClassifierHead, features) -> np.ndarray:
     the distance scale is nonzero.
     """
     return np.argmax(forward_logits(head, features), axis=1)
+
+
+@dataclass(frozen=True)
+class HeadOutputs:
+    """What evaluation reads from one head on one feature matrix.
+
+    distances is None for the softmax head; probabilities are the
+    inference probabilities (entropic scale removed) and entropy is their
+    per-row Shannon entropy in nats.
+    """
+
+    distances: np.ndarray | None  # (n, classes)
+    logits: np.ndarray            # (n, classes)
+    probabilities: np.ndarray     # (n, classes)
+    entropy: np.ndarray           # (n,)
+
+
+def head_outputs(head: ClassifierHead, features) -> HeadOutputs:
+    """Distances, logits, inference probabilities and entropy, each computed
+    once and bit-identical to forward_logits and inference_probabilities."""
+    logits, distances = _logits_and_distances(head, features)
+    probabilities = stable_softmax_rows(logits, 1.0)
+    return HeadOutputs(distances=distances, logits=logits, probabilities=probabilities,
+                       entropy=shannon_entropy_rows(probabilities))
 
 
 def _loss_grad_wrt_logits(head: ClassifierHead, logits: np.ndarray,

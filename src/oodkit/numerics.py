@@ -11,6 +11,9 @@ import numpy as np
 
 NORM_EPS = 1e-12
 
+# Rows of the first operand per block in pairwise_euclidean.
+DISTANCE_BLOCK_ROWS = 256
+
 
 class ContractViolation(ValueError):
     """An argument broke a documented precondition."""
@@ -45,6 +48,10 @@ def pairwise_euclidean(a, b) -> np.ndarray:
     Computed from explicit per-pair differences. The expanded identity
     |a|^2 + |b|^2 - 2ab is deliberately avoided: it loses precision for
     nearby rows and can go negative under rounding.
+
+    The output is filled DISTANCE_BLOCK_ROWS rows of a at a time, so the
+    difference tensor never holds more than DISTANCE_BLOCK_ROWS x c x d
+    entries. Each pair's distance is computed exactly as without blocking.
     """
     a = as_matrix(a, "a")
     b = as_matrix(b, "b")
@@ -52,8 +59,12 @@ def pairwise_euclidean(a, b) -> np.ndarray:
         raise ContractViolation(
             f"column mismatch: a has {a.shape[1]} columns, b has {b.shape[1]}"
         )
-    diff = a[:, np.newaxis, :] - b[np.newaxis, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    out = np.empty((a.shape[0], b.shape[0]))
+    for start in range(0, a.shape[0], DISTANCE_BLOCK_ROWS):
+        stop = start + DISTANCE_BLOCK_ROWS
+        diff = a[start:stop, np.newaxis, :] - b[np.newaxis, :, :]
+        out[start:stop] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    return out
 
 
 def stable_softmax_rows(m, scale: float = 1.0) -> np.ndarray:

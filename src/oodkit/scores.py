@@ -11,7 +11,7 @@ from enum import Enum
 
 import numpy as np
 
-from .heads import ClassifierHead, feature_prototype_distances, inference_probabilities
+from .heads import ClassifierHead, HeadOutputs, feature_prototype_distances
 from .numerics import ContractViolation, _check_probability_rows, shannon_entropy_rows
 
 
@@ -56,12 +56,15 @@ def min_distance_score(head: ClassifierHead, features) -> np.ndarray:
     return min_distance_score_from_distances(feature_prototype_distances(head, features))
 
 
-def compute_score(kind: ScoreKind | str, head: ClassifierHead, features) -> np.ndarray:
-    """Evaluate one score kind for a batch of features."""
+def compute_score(kind: ScoreKind | str, outputs: HeadOutputs) -> np.ndarray:
+    """Evaluate one score kind from a head's outputs on a batch of features
+    (see heads.head_outputs); nothing is recomputed."""
     kind = ScoreKind(kind)
     if kind is ScoreKind.MIN_DISTANCE:
-        return min_distance_score(head, features)
-    probs = inference_probabilities(head, features)
+        if outputs.distances is None:
+            raise ContractViolation(
+                "minimum distance score requires a distance-based head, got softmax outputs")
+        return min_distance_score_from_distances(outputs.distances)
     if kind is ScoreKind.MAX_PROBABILITY:
-        return max_probability_score(probs)
-    return entropic_score(probs)
+        return max_probability_score(outputs.probabilities)
+    return -outputs.entropy

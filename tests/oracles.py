@@ -59,3 +59,11 @@ def random_score_set(rng, max_size=200):
         return rng.choice(values, size=n), rng.choice(values, size=m)
     # half-integer grid, moderate ties
     return rng.integers(-6, 7, size=n) / 2.0, rng.integers(-8, 5, size=m) / 2.0
+
+
+def pairwise_euclidean_oracle(a, b):
+    """The unblocked kernel: the whole n x c x d difference tensor at once."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    diff = a[:, np.newaxis, :] - b[np.newaxis, :, :]
+    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))

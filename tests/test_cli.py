@@ -72,6 +72,18 @@ class TestTrainEval:
         assert (out / "scores_seed1_ring_min_distance.csv").exists()
         assert (out / "scores_seed1_ring_entropic.csv").exists()
 
+    def test_renamed_checkpoint_array_exits_1_with_one_line(self, config_path, tmp_path,
+                                                             capsys):
+        cfg = config_path()
+        assert cli_main(["train", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        ckpt = tmp_path / "out" / "checkpoint_seed1.bin"
+        ckpt.write_bytes(ckpt.read_bytes().replace(b"head.prototypes", b"head.prototypez", 1))
+        assert cli_main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "head.prototypes" in err
+
     def test_trace_has_epoch_rows(self, config_path, tmp_path, capsys):
         cfg = config_path()
         assert cli_main(["train", "--config", str(cfg)]) == 0

@@ -2,17 +2,19 @@
 
 import copy
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from oodkit import heads
+from oodkit import experiment, heads, numerics
 from oodkit.data import gaussian_blobs, ood_ring
 from oodkit.experiment import (
     CheckpointError,
     ExperimentConfig,
     ReportSchemaError,
     compare_heads,
+    evaluate_checkpoint,
     histogram_report,
     load_checkpoint,
     run_experiment,
@@ -24,6 +26,7 @@ from oodkit.experiment import (
 )
 from oodkit.model import backbone_forward, make_train_state
 from oodkit.numerics import ContractViolation
+from oodkit.scores import compute_score
 
 
 def tiny_config(head="isomaxplus", **overrides):
@@ -103,6 +106,55 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         assert report.per_seed[0]["ood_evaluations"][0]["ood"] == "heldout"
         validate_report(report.to_dict())
+
+
+def heldout_config(head):
+    """Three trained classes, the fourth held out, plus a ring: two OOD sets."""
+    return tiny_config(
+        head, seeds=[1],
+        in_distribution={"kind": "blobs", "classes": 4, "dims": 2, "centers_radius": 4.0,
+                         "sigma": 0.5, "n_per_class": 30, "train_classes": 3},
+        ood=[{"name": "heldout", "kind": "heldout"},
+             {"name": "ring", "kind": "ring", "inner_radius": 8.0,
+              "outer_radius": 12.0, "n": 40}],
+        score_kinds=(["entropic", "max_probability"] if head == "softmax"
+                     else ["min_distance", "entropic", "max_probability"]))
+
+
+class TestEvaluateCheckpoint:
+    @pytest.mark.parametrize("head", ["softmax", "isomax", "isomaxplus"])
+    def test_one_distance_pass_per_dataset(self, monkeypatch, head):
+        cfg = heldout_config(head)
+        state = train_single_seed(cfg, 1)[0]
+        calls = []
+        original = numerics.pairwise_euclidean
+
+        def counting(a, b):
+            calls.append(1)
+            return original(a, b)
+
+        monkeypatch.setattr(numerics, "pairwise_euclidean", counting)
+        monkeypatch.setattr(heads, "pairwise_euclidean", counting)
+        evaluate_checkpoint(cfg, state)
+        assert len(calls) == (0 if head == "softmax" else 1 + len(cfg.ood))
+
+    @pytest.mark.parametrize("head", ["softmax", "isomax", "isomaxplus"])
+    def test_dumps_equal_per_dataset_scores(self, head):
+        cfg = heldout_config(head)
+        state, _, val, heldout, scaler = train_single_seed(cfg, 1)
+        record, dumps = evaluate_checkpoint(cfg, state)
+        assert record == run_experiment(cfg).per_seed[0]
+        features = {"in": backbone_forward(state.backbone, val.inputs)}
+        for i, spec in enumerate(cfg.ood):
+            ood = experiment._ood_dataset(cfg, spec, i, 1, heldout, scaler)
+            features[spec["name"]] = backbone_forward(state.backbone, ood.inputs)
+        assert [(name, kind) for name, kind, _, _ in dumps] == [
+            (spec["name"], kind) for spec in cfg.ood for kind in cfg.score_kinds]
+        for name, kind, in_scores, out_scores in dumps:
+            np.testing.assert_array_equal(
+                in_scores, compute_score(kind, heads.head_outputs(state.head, features["in"])))
+            np.testing.assert_array_equal(
+                out_scores, compute_score(kind, heads.head_outputs(state.head, features[name])))
 
 
 class TestValidateReport:
@@ -264,6 +316,58 @@ class TestCheckpoints:
         clipped.write_bytes(path.read_bytes()[:-20])
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(clipped)
+
+    @pytest.mark.parametrize("corrupt, match", [
+        (lambda st: st.backbone.weights.__setitem__(1, st.backbone.weights[1][:, :5]),
+         "backbone layer 1"),
+        (lambda st: st.backbone.biases.__setitem__(0, st.backbone.biases[0][:3]),
+         "backbone layer 0"),
+        (lambda st: setattr(st.head, "prototypes", st.head.prototypes[:, :5]),
+         "head dimension"),
+        (lambda st: setattr(st.head, "prototypes", st.head.prototypes[:0]),
+         "one row per class"),
+        (lambda st: st.velocities.__setitem__("head.prototypes", np.zeros((2, 8))),
+         "velocity.head.prototypes"),
+        (lambda st: st.velocities.__setitem__("head.distance_scale", np.zeros(2)),
+         "one value"),
+        (lambda st: st.velocities.__setitem__("head.bogus", np.zeros(1)),
+         "unexpected array"),
+    ])
+    def test_disagreeing_shapes_are_typed_errors(self, tmp_path, corrupt, match):
+        state, _ = self.trained_state()
+        corrupt(state)
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(state, path)
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path)
+
+    def test_softmax_bias_must_match_weights(self, tmp_path):
+        state, _ = self.trained_state("softmax")
+        state.head.bias = state.head.bias[:2]
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(state, path)
+        with pytest.raises(CheckpointError, match="head bias"):
+            load_checkpoint(path)
+
+    def test_renamed_array_is_typed_error(self, tmp_path):
+        state, _ = self.trained_state()
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(state, path)
+        path.write_bytes(path.read_bytes().replace(b"head.prototypes", b"head.prototypez", 1))
+        with pytest.raises(CheckpointError, match="no array 'head.prototypes'"):
+            load_checkpoint(path)
+
+    def test_oversized_header_shape_is_truncation(self, tmp_path):
+        state, _ = self.trained_state()
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(state, path)
+        # magic, version, head kind, epoch, seed, config hash
+        header = path.read_bytes()[:8 + 4 + 4 + len("isomaxplus") + 8 + 8 + 32]
+        name = b"backbone.w0"
+        path.write_bytes(header + struct.pack("<I", 1) + struct.pack("<I", len(name)) + name
+                         + struct.pack("<I", 2) + struct.pack("<QQ", 2 ** 62, 2))
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
 
     def test_hash_mismatch_warns_but_loads(self, tmp_path):
         state, _ = self.trained_state()

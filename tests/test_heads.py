@@ -14,6 +14,7 @@ from oodkit.heads import (
     feature_prototype_distances,
     forward_logits,
     fused_log_softmax_loss,
+    head_outputs,
     inference_probabilities,
     make_isomax_head,
     make_isomaxplus_head,
@@ -172,6 +173,29 @@ class TestPredict:
     def test_tie_breaks_to_lowest_index(self):
         head = SoftMaxHead(weights=np.zeros((3, 2)), bias=np.zeros(3))
         assert predict(head, [[1.0, 2.0]])[0] == 0
+
+
+class TestHeadOutputs:
+    @pytest.mark.parametrize("kind", ["softmax", "isomax", "isomaxplus"])
+    def test_bit_identical_to_the_separate_functions(self, kind):
+        rng = np.random.default_rng(8)
+        head = {
+            "softmax": make_softmax_head(4, 3, rng),
+            "isomax": IsoMaxHead(prototypes=rng.standard_normal((4, 3))),
+            "isomaxplus": IsoMaxPlusHead(prototypes=rng.standard_normal((4, 3)),
+                                         distance_scale=-2.5),
+        }[kind]
+        f = rng.standard_normal((20, 3))
+        out = head_outputs(head, f)
+        np.testing.assert_array_equal(out.logits, forward_logits(head, f))
+        np.testing.assert_array_equal(out.probabilities, inference_probabilities(head, f))
+        np.testing.assert_array_equal(out.entropy,
+                                      shannon_entropy_rows(inference_probabilities(head, f)))
+        if kind == "softmax":
+            assert out.distances is None
+        else:
+            np.testing.assert_array_equal(out.distances,
+                                          feature_prototype_distances(head, f))
 
 
 class TestBackward:

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from oracles import pairwise_euclidean_oracle
 
+from oodkit import numerics
 from oodkit.numerics import (
     ContractViolation,
     pairwise_euclidean,
@@ -91,6 +93,19 @@ class TestPairwiseEuclidean:
     def test_dimension_mismatch(self):
         with pytest.raises(ContractViolation):
             pairwise_euclidean([[1.0, 2.0]], [[1.0, 2.0, 3.0]])
+
+    @pytest.mark.parametrize("block_rows", [1, 7, 50])
+    @pytest.mark.parametrize("rows", ["random", "near_duplicate"])
+    def test_row_blocks_equal_the_unblocked_kernel(self, monkeypatch, block_rows, rows):
+        rng = np.random.default_rng(block_rows)
+        b = rng.standard_normal((5, 6))
+        if rows == "random":
+            a = rng.standard_normal((50, 6))
+        else:  # rows a few ulps from a prototype, where cancellation bites
+            a = b[rng.integers(0, 5, size=50)] * (1.0 + 1e-15 * rng.standard_normal((50, 6)))
+        monkeypatch.setattr(numerics, "DISTANCE_BLOCK_ROWS", block_rows)
+        np.testing.assert_array_equal(pairwise_euclidean(a, b),
+                                      pairwise_euclidean_oracle(a, b))
 
 
 class TestStableSoftmaxRows:

@@ -10,6 +10,7 @@ from oodkit.heads import (
     IsoMaxPlusHead,
     feature_prototype_distances,
     forward_logits,
+    head_outputs,
     make_softmax_head,
 )
 from oodkit.numerics import ContractViolation
@@ -124,10 +125,15 @@ class TestComputeScore:
         head = IsoMaxPlusHead(prototypes=rng.standard_normal((3, 4)))
         f = rng.standard_normal((6, 4))
         for kind in ScoreKind:
-            out = compute_score(kind, head, f)
+            out = compute_score(kind, head_outputs(head, f))
             assert out.shape == (6,)
-        np.testing.assert_array_equal(compute_score("min_distance", head, f),
+        np.testing.assert_array_equal(compute_score("min_distance", head_outputs(head, f)),
                                       min_distance_score(head, f))
+
+    def test_min_distance_rejects_softmax_outputs(self):
+        head = make_softmax_head(3, 4, np.random.default_rng(0))
+        with pytest.raises(ContractViolation):
+            compute_score("min_distance", head_outputs(head, np.zeros((1, 4))))
 
     def test_higher_means_more_in_distribution(self):
         # a point on a prototype must outscore a far away point on all kinds
@@ -136,5 +142,5 @@ class TestComputeScore:
                               distance_scale=4.0)
         f = np.array([[5.0, 0.0], [-3.0, -3.0]])
         for kind in ScoreKind:
-            s = compute_score(kind, head, f)
+            s = compute_score(kind, head_outputs(head, f))
             assert s[0] > s[1], kind
