@@ -35,6 +35,7 @@ from .model import (
     backbone_forward,
     fit,
     make_train_state,
+    named_parameters,
 )
 from .numerics import ContractViolation
 
@@ -545,30 +546,16 @@ def _write_block(f, name: str, arr: np.ndarray):
     f.write(payload.tobytes())
 
 
-def _checkpoint_arrays(state: TrainState):
-    """Deterministic (name, array) listing of everything a state holds."""
-    entries = []
-    for i, (w, b) in enumerate(zip(state.backbone.weights, state.backbone.biases)):
-        entries.append((f"backbone.w{i}", w))
-        entries.append((f"backbone.b{i}", b))
-    head = state.head
-    if isinstance(head, heads.SoftMaxHead):
-        entries.append(("head.weights", head.weights))
-        entries.append(("head.bias", head.bias))
-    else:
-        entries.append(("head.prototypes", head.prototypes))
-        entries.append(("head.entropic_scale", np.array(head.entropic_scale)))
-        if isinstance(head, heads.IsoMaxPlusHead):
-            entries.append(("head.distance_scale", np.array(head.distance_scale)))
-    for name in sorted(state.velocities):
-        entries.append((f"velocity.{name}", np.asarray(state.velocities[name])))
-    return entries
-
-
 def save_checkpoint(state: TrainState, path):
     """Binary snapshot: magic, version, head kind, epoch, seed, config
-    hash, then named float64 arrays, all little-endian."""
-    entries = _checkpoint_arrays(state)
+    hash, then named float64 arrays, all little-endian: the backbone's
+    parameters, the head's `checkpointed` arrays and the velocities."""
+    entries = [(name, arr) for name, arr in named_parameters(state)
+               if name.startswith("backbone.")]
+    entries += [(f"head.{name}", getattr(state.head, name))
+                for name in state.head.checkpointed]
+    entries += [(f"velocity.{name}", state.velocities[name])
+                for name in sorted(state.velocities)]
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<I", CHECKPOINT_VERSION))
@@ -642,27 +629,30 @@ def load_checkpoint(path, expected_head_kind: str | None = None,
         if f.read(1):
             raise CheckpointError("trailing bytes after the last array")
 
-    state = TrainState(backbone=_backbone_from_arrays(arrays),
-                       head=_head_from_arrays(kind, arrays), velocities={},
+    backbone = _backbone_from_arrays(arrays)
+    head_class = heads.HEAD_CLASSES[kind]
+    head_arrays = {name: _take(arrays, f"head.{name}") for name in head_class.checkpointed}
+    try:
+        head = head_class(**head_arrays)
+    except ContractViolation as exc:
+        raise CheckpointError(str(exc)) from None
+    state = TrainState(backbone=backbone, head=head, velocities={},
                        epoch=int(epoch), seed=int(seed), config_hash=config_hash)
     feature_dim = state.backbone.feature_dim
     if feature_dim >= 0 and state.head.dim != feature_dim:
         raise CheckpointError(
             f"head dimension {state.head.dim} does not match the backbone's "
             f"feature width {feature_dim}")
-    params = dict(_checkpoint_arrays(state))
+    params = dict(named_parameters(state))
     for name, arr in arrays.items():
         key = name[len("velocity."):] if name.startswith("velocity.") else None
         if key not in params:
             raise CheckpointError(f"unexpected array {name!r} in checkpoint")
-        if key == "head.distance_scale":
-            state.velocities[key] = _scalar(name, arr)
-        elif arr.shape == params[key].shape:
-            state.velocities[key] = arr
-        else:
+        if arr.shape != params[key].shape:
             raise CheckpointError(
                 f"array {name!r} has shape {arr.shape}, its parameter has "
                 f"{params[key].shape}")
+        state.velocities[key] = arr
     return state
 
 
@@ -672,12 +662,6 @@ def _take(arrays: dict, name: str) -> np.ndarray:
         return arrays.pop(name)
     except KeyError:
         raise CheckpointError(f"checkpoint has no array {name!r}") from None
-
-
-def _scalar(name: str, arr: np.ndarray) -> float:
-    if arr.size != 1:
-        raise CheckpointError(f"array {name!r} must hold one value, has shape {arr.shape}")
-    return float(arr.reshape(-1)[0])
 
 
 def _backbone_from_arrays(arrays: dict) -> MlpBackbone:
@@ -692,34 +676,6 @@ def _backbone_from_arrays(arrays: dict) -> MlpBackbone:
         weights.append(w)
         biases.append(b)
     return MlpBackbone(weights=weights, biases=biases)
-
-
-def _head_from_arrays(kind: str, arrays: dict) -> heads.ClassifierHead:
-    if kind == "softmax":
-        head = heads.SoftMaxHead(weights=_take(arrays, "head.weights"),
-                                 bias=_take(arrays, "head.bias"))
-        matrix, name = head.weights, "head.weights"
-        if head.bias.shape != head.weights.shape[:1]:
-            raise CheckpointError(
-                f"head bias {head.bias.shape} does not match head weights "
-                f"{head.weights.shape}")
-    else:
-        entropic_scale = _scalar("head.entropic_scale", _take(arrays, "head.entropic_scale"))
-        if kind == "isomax":
-            head = heads.IsoMaxHead(prototypes=_take(arrays, "head.prototypes"),
-                                    entropic_scale=entropic_scale)
-        else:
-            distance_scale = _scalar("head.distance_scale",
-                                     _take(arrays, "head.distance_scale"))
-            head = heads.IsoMaxPlusHead(prototypes=_take(arrays, "head.prototypes"),
-                                        distance_scale=distance_scale,
-                                        entropic_scale=entropic_scale)
-        matrix, name = head.prototypes, "head.prototypes"
-    if matrix.ndim != 2 or matrix.shape[0] < 1:
-        raise CheckpointError(
-            f"array {name!r} must be a matrix with one row per class, has shape "
-            f"{matrix.shape}")
-    return head
 
 
 # ---------------------------------------------------------------------------

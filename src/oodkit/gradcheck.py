@@ -111,20 +111,23 @@ def _draw_instance(kind: str, rng: np.random.Generator):
     raise RuntimeError("could not draw a differentiable instance")
 
 
-def _head_param_arrays(head):
-    if isinstance(head, heads.SoftMaxHead):
-        return [("weights", head.weights), ("bias", head.bias)]
-    if isinstance(head, heads.IsoMaxHead):
-        return [("prototypes", head.prototypes)]
-    return [("prototypes", head.prototypes),
-            ("distance_scale", np.array([head.distance_scale]))]
+def _check_in_place(named, analytic: dict, loss, h: float) -> float:
+    """Worst relative error over (name, array) parameters, each perturbed
+    in place while loss() reads it, then restored bit for bit."""
+    worst = 0.0
+    for name, param in named:
+        saved = param.copy()
 
+        def loss_at(v):
+            param[...] = v
+            try:
+                return loss()
+            finally:
+                param[...] = saved
 
-def _set_head_array(head, name: str, value: np.ndarray):
-    if name == "distance_scale":
-        head.distance_scale = float(np.asarray(value).reshape(-1)[0])
-    else:
-        setattr(head, name, value)
+        numeric = finite_difference(loss_at, saved, h)
+        worst = max(worst, relative_error(analytic[name], numeric))
+    return worst
 
 
 def check_head_instance(kind: str, rng: np.random.Generator,
@@ -132,29 +135,11 @@ def check_head_instance(kind: str, rng: np.random.Generator,
     """Worst relative error across every gradient of one random instance."""
     head, features, targets = _draw_instance(kind, rng)
     grads = heads.backward(head, features, targets)
-    analytic = {"features": grads.d_features}
-    if grads.d_weights is not None:
-        analytic["weights"] = grads.d_weights
-        analytic["bias"] = grads.d_bias
-    if grads.d_prototypes is not None:
-        analytic["prototypes"] = grads.d_prototypes
-    if grads.d_distance_scale is not None:
-        analytic["distance_scale"] = np.array(grads.d_distance_scale)
-
-    worst = 0.0
     numeric = finite_difference(
         lambda f: heads.training_loss(head, f, targets), features, h)
-    worst = max(worst, relative_error(analytic["features"], numeric))
-    for name, value in _head_param_arrays(head):
-        def loss_at(v, _name=name):
-            _set_head_array(head, _name, v)
-            try:
-                return heads.training_loss(head, features, targets)
-            finally:
-                _set_head_array(head, _name, value)
-        numeric = finite_difference(loss_at, value, h)
-        worst = max(worst, relative_error(analytic[name], numeric))
-    return worst
+    return max(relative_error(grads.d_features, numeric), _check_in_place(
+        [(name, getattr(head, name)) for name in head.parameters], grads.params,
+        lambda: heads.training_loss(head, features, targets), h))
 
 
 def check_backbone_instance(rng: np.random.Generator,
@@ -183,24 +168,11 @@ def check_backbone_instance(rng: np.random.Generator,
 
     hg = heads.backward(head, features, targets)
     bg = model.backbone_backward(backbone, inputs, hg.d_features)
-
-    worst = 0.0
-    for layer in range(len(backbone.weights)):
-        for attr, analytic in (("weights", bg.d_weights[layer]),
-                               ("biases", bg.d_biases[layer])):
-            stored = getattr(backbone, attr)[layer]
-
-            def loss_at(v, _attr=attr, _layer=layer, _stored=stored):
-                getattr(backbone, _attr)[_layer] = v
-                try:
-                    feats = model.backbone_forward(backbone, inputs)
-                    return heads.training_loss(head, feats, targets)
-                finally:
-                    getattr(backbone, _attr)[_layer] = _stored
-
-            numeric = finite_difference(loss_at, stored, h)
-            worst = max(worst, relative_error(analytic, numeric))
-    return worst
+    state = model.TrainState(backbone=backbone, head=head, velocities={})
+    return _check_in_place(
+        [(name, p) for name, p in model.named_parameters(state) if name.startswith("backbone.")],
+        model.named_gradients(bg, hg),
+        lambda: heads.training_loss(head, model.backbone_forward(backbone, inputs), targets), h)
 
 
 _STREAM_IDS = {"softmax": 11, "isomax": 12, "isomaxplus": 13, "backbone": 14}

@@ -43,6 +43,24 @@ PROBABILITY_FLOOR = 1e-30
 DISTANCE_GRAD_EPS = 1e-12
 
 
+def _check_rows(name: str, matrix: np.ndarray):
+    if matrix.ndim != 2 or matrix.shape[0] < 1:
+        raise ContractViolation(
+            f"{name} must be a matrix with one row per class, has shape {matrix.shape}")
+
+
+def _one_value(name: str, value) -> np.ndarray:
+    value = np.array(value, dtype=np.float64).reshape(-1)
+    if value.size != 1:
+        raise ContractViolation(f"{name} must hold one value, has shape {value.shape}")
+    return value
+
+
+# Each head declares its arrays once. `parameters` names the trainable
+# attributes, each an ndarray that training updates in place;
+# `checkpointed` names what a checkpoint stores, in file order.
+
+
 @dataclass
 class SoftMaxHead:
     """Affine output layer: logits = features @ weights.T + bias."""
@@ -51,6 +69,15 @@ class SoftMaxHead:
     bias: np.ndarray     # (classes,)
 
     kind = "softmax"
+    parameters = ("weights", "bias")
+    checkpointed = ("weights", "bias")
+
+    def __post_init__(self):
+        _check_rows("head weights", self.weights)
+        if self.bias.shape != self.weights.shape[:1]:
+            raise ContractViolation(
+                f"head bias {self.bias.shape} does not match head weights "
+                f"{self.weights.shape}")
 
     @property
     def classes(self) -> int:
@@ -69,6 +96,12 @@ class IsoMaxHead:
     entropic_scale: float = DEFAULT_ENTROPIC_SCALE
 
     kind = "isomax"
+    parameters = ("prototypes",)
+    checkpointed = ("prototypes", "entropic_scale")
+
+    def __post_init__(self):
+        _check_rows("head prototypes", self.prototypes)
+        self.entropic_scale = float(_one_value("entropic_scale", self.entropic_scale)[0])
 
     @property
     def classes(self) -> int:
@@ -83,15 +116,24 @@ class IsoMaxHead:
 class IsoMaxPlusHead:
     """Normalized prototype head with a learnable scalar distance scale.
 
-    Only the absolute value of distance_scale ever enters a computation,
-    so its sign is irrelevant everywhere.
+    distance_scale is stored as a one-element float64 array, so that,
+    like every other parameter, training can update it in place; a float
+    passed to the constructor is converted. Only its absolute value ever
+    enters a computation, so its sign is irrelevant everywhere.
     """
 
     prototypes: np.ndarray  # (classes, dim)
-    distance_scale: float = 1.0
+    distance_scale: np.ndarray = 1.0  # (1,)
     entropic_scale: float = DEFAULT_ENTROPIC_SCALE
 
     kind = "isomaxplus"
+    parameters = ("prototypes", "distance_scale")
+    checkpointed = ("prototypes", "entropic_scale", "distance_scale")
+
+    def __post_init__(self):
+        _check_rows("head prototypes", self.prototypes)
+        self.distance_scale = _one_value("distance_scale", self.distance_scale)
+        self.entropic_scale = float(_one_value("entropic_scale", self.entropic_scale)[0])
 
     @property
     def classes(self) -> int:
@@ -104,7 +146,8 @@ class IsoMaxPlusHead:
 
 ClassifierHead = Union[SoftMaxHead, IsoMaxHead, IsoMaxPlusHead]
 
-HEAD_KINDS = ("softmax", "isomax", "isomaxplus")
+HEAD_CLASSES = {cls.kind: cls for cls in (SoftMaxHead, IsoMaxHead, IsoMaxPlusHead)}
+HEAD_KINDS = tuple(HEAD_CLASSES)
 DISTANCE_HEAD_KINDS = ("isomax", "isomaxplus")
 
 
@@ -126,13 +169,12 @@ class LabeledBatch:
 
 @dataclass
 class HeadGradients:
-    """Gradients of the mean batch loss. Fields not owned by the head stay None."""
+    """Gradients of the mean batch loss: d_features with respect to the
+    input features, and params keyed by the head's `parameters` names,
+    each shaped like its parameter."""
 
     d_features: np.ndarray
-    d_weights: np.ndarray | None = None
-    d_bias: np.ndarray | None = None
-    d_prototypes: np.ndarray | None = None
-    d_distance_scale: float | None = None
+    params: dict
 
 
 def make_softmax_head(classes: int, dim: int, rng: np.random.Generator) -> SoftMaxHead:
@@ -197,7 +239,7 @@ def _logits_and_distances(head: ClassifierHead, features):
         return features @ head.weights.T + head.bias, None
     distances = feature_prototype_distances(head, features)
     if isinstance(head, IsoMaxPlusHead):
-        return -abs(head.distance_scale) * distances, distances
+        return -abs(head.distance_scale[0]) * distances, distances
     return -distances, distances
 
 
@@ -319,9 +361,10 @@ def _normalize_backward(raw: np.ndarray, unit: np.ndarray,
 def backward(head: ClassifierHead, features, targets) -> HeadGradients:
     """Analytic gradients of the mean batch loss.
 
-    Returns gradients with respect to the input features and to every
-    trainable tensor of the head. Matches central finite differences of
-    training_loss at 1e-4 relative tolerance on differentiable points.
+    Returns the gradient with respect to the input features and, in
+    params, one gradient per name in the head's `parameters`. Matches
+    central finite differences of training_loss at 1e-4 relative
+    tolerance on differentiable points.
     """
     features = _check_features(head, features)
     targets = _check_targets(head, targets, len(features))
@@ -331,8 +374,7 @@ def backward(head: ClassifierHead, features, targets) -> HeadGradients:
         g = _loss_grad_wrt_logits(head, logits, targets)
         return HeadGradients(
             d_features=g @ head.weights,
-            d_weights=g.T @ features,
-            d_bias=g.sum(axis=0),
+            params={"weights": g.T @ features, "bias": g.sum(axis=0)},
         )
 
     if isinstance(head, IsoMaxHead):
@@ -344,25 +386,24 @@ def backward(head: ClassifierHead, features, targets) -> HeadGradients:
         d_prototypes = (
             coeff.sum(axis=0)[:, np.newaxis] * head.prototypes - coeff.T @ features
         )
-        return HeadGradients(d_features=d_features, d_prototypes=d_prototypes)
+        return HeadGradients(d_features=d_features, params={"prototypes": d_prototypes})
 
     if isinstance(head, IsoMaxPlusHead):
         fhat = row_normalize(features)
         phat = row_normalize(head.prototypes)
         distances = pairwise_euclidean(fhat, phat)
-        s = abs(head.distance_scale)
+        s = abs(head.distance_scale[0])
         g = _loss_grad_wrt_logits(head, -s * distances, targets)
         # dL/dD = -s g; chain onto the unit vectors, then through both
         # normalizations, and finally into the scalar scale.
         coeff = -s * g / np.maximum(distances, DISTANCE_GRAD_EPS)
         d_fhat = coeff.sum(axis=1)[:, np.newaxis] * fhat - coeff @ phat
         d_phat = coeff.sum(axis=0)[:, np.newaxis] * phat - coeff.T @ fhat
-        d_scale_abs = float(-(g * distances).sum())
-        sign = 0.0 if head.distance_scale == 0.0 else float(np.sign(head.distance_scale))
+        d_scale_abs = -(g * distances).sum()
         return HeadGradients(
             d_features=_normalize_backward(features, fhat, d_fhat),
-            d_prototypes=_normalize_backward(head.prototypes, phat, d_phat),
-            d_distance_scale=sign * d_scale_abs,
+            params={"prototypes": _normalize_backward(head.prototypes, phat, d_phat),
+                    "distance_scale": np.sign(head.distance_scale) * d_scale_abs},
         )
 
     raise ContractViolation(f"unknown head kind {head.kind!r}")

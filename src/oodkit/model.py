@@ -23,7 +23,7 @@ SHUFFLE_STREAM = 2
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when a batch loss stops being finite."""
+    """Raised when a batch's features or loss stop being finite."""
 
     def __init__(self, message: str, epoch: int | None = None,
                  batch_index: int | None = None):
@@ -192,96 +192,69 @@ def nesterov_update(param: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
     v <- momentum * v + g
     param <- param - lr * (g + momentum * v)
 
-    Returns (new_param, new_velocity).
+    The last line subtracts into param in place, so an array parameter
+    keeps its identity. Returns (param, new_velocity).
     """
     g = grad + cfg.weight_decay * param
     v = cfg.momentum * velocity + g
-    return param - lr * (g + cfg.momentum * v), v
+    param -= lr * (g + cfg.momentum * v)
+    return param, v
 
 
-def _trainable(state: TrainState):
-    """Stable (name, kind) listing of every trainable parameter."""
+def named_parameters(state: TrainState) -> list:
+    """Every trainable array of a state as (name, array) pairs, in a fixed
+    order: backbone.w{i} and backbone.b{i} per layer, then head.<name> for
+    each name in the head's `parameters`. Each array is the attribute
+    itself, so writing into it changes the state."""
     entries = []
-    for i in range(len(state.backbone.weights)):
-        entries.append((f"backbone.w{i}", "backbone_w", i))
-        entries.append((f"backbone.b{i}", "backbone_b", i))
+    for i, (w, b) in enumerate(zip(state.backbone.weights, state.backbone.biases)):
+        entries += [(f"backbone.w{i}", w), (f"backbone.b{i}", b)]
     head = state.head
-    if isinstance(head, heads.SoftMaxHead):
-        entries.append(("head.weights", "head_weights", None))
-        entries.append(("head.bias", "head_bias", None))
-    else:
-        entries.append(("head.prototypes", "head_prototypes", None))
-        if isinstance(head, heads.IsoMaxPlusHead):
-            entries.append(("head.distance_scale", "head_distance_scale", None))
-    return entries
+    return entries + [(f"head.{name}", getattr(head, name)) for name in head.parameters]
 
 
-def _get_param(state: TrainState, kind: str, idx):
-    if kind == "backbone_w":
-        return state.backbone.weights[idx]
-    if kind == "backbone_b":
-        return state.backbone.biases[idx]
-    if kind == "head_weights":
-        return state.head.weights
-    if kind == "head_bias":
-        return state.head.bias
-    if kind == "head_prototypes":
-        return state.head.prototypes
-    return np.float64(state.head.distance_scale)
-
-
-def _set_param(state: TrainState, kind: str, idx, value):
-    if kind == "backbone_w":
-        state.backbone.weights[idx] = value
-    elif kind == "backbone_b":
-        state.backbone.biases[idx] = value
-    elif kind == "head_weights":
-        state.head.weights = value
-    elif kind == "head_bias":
-        state.head.bias = value
-    elif kind == "head_prototypes":
-        state.head.prototypes = value
-    else:
-        state.head.distance_scale = float(value)
-
-
-def _gradient_for(kind: str, idx, bg: BackboneGradients, hg: HeadGradients):
-    if kind == "backbone_w":
-        return bg.d_weights[idx]
-    if kind == "backbone_b":
-        return bg.d_biases[idx]
-    if kind == "head_weights":
-        return hg.d_weights
-    if kind == "head_bias":
-        return hg.d_bias
-    if kind == "head_prototypes":
-        return hg.d_prototypes
-    return np.float64(hg.d_distance_scale)
+def named_gradients(bg: BackboneGradients, hg: HeadGradients) -> dict:
+    """The gradients of one step keyed by their named_parameters names."""
+    grads = {}
+    for i, (dw, db) in enumerate(zip(bg.d_weights, bg.d_biases)):
+        grads[f"backbone.w{i}"], grads[f"backbone.b{i}"] = dw, db
+    grads.update((f"head.{name}", g) for name, g in hg.params.items())
+    return grads
 
 
 def sgd_step(state: TrainState, batch: LabeledBatch, cfg: SgdConfig,
              lr: float | None = None, epoch: int | None = None,
              batch_index: int | None = None) -> float:
-    """One optimizer step over a batch; returns the pre-update loss."""
+    """One optimizer step over a batch; returns the pre-update loss.
+
+    Raises TrainingDiverged, naming the epoch and the batch, when the
+    forward features or the loss stop being finite.
+    """
     lr = cfg.learning_rate if lr is None else lr
-    features, layer_inputs, preacts = _forward_trace(state.backbone, batch.features)
-    loss = heads.training_loss(state.head, features, batch.targets)
+    features = _forward_trace(state.backbone, batch.features)[0]
+    try:
+        loss = heads.training_loss(state.head, features, batch.targets)
+    except ContractViolation:
+        # training_loss rejects non-finite features; here they mean the
+        # parameters have grown until the forward pass overflowed.
+        if np.isfinite(features).all():
+            raise
+        raise TrainingDiverged(
+            f"non-finite features at epoch {epoch} batch {batch_index}",
+            epoch=epoch, batch_index=batch_index,
+        ) from None
     if not np.isfinite(loss):
         raise TrainingDiverged(
             f"non-finite loss {loss} at epoch {epoch} batch {batch_index}",
             epoch=epoch, batch_index=batch_index,
         )
     hg = heads.backward(state.head, features, batch.targets)
-    bg = backbone_backward(state.backbone, batch.features, hg.d_features)
-    for name, kind, idx in _trainable(state):
-        param = _get_param(state, kind, idx)
-        grad = _gradient_for(kind, idx, bg, hg)
+    grads = named_gradients(backbone_backward(state.backbone, batch.features, hg.d_features), hg)
+    for name, param in named_parameters(state):
         velocity = state.velocities.get(name)
         if velocity is None:
             velocity = np.zeros_like(param)
-        new_param, new_velocity = nesterov_update(param, grad, velocity, cfg, lr)
-        _set_param(state, kind, idx, new_param)
-        state.velocities[name] = new_velocity
+        _, state.velocities[name] = nesterov_update(param, grads[name], velocity, cfg, lr)
     return loss
 
 
@@ -311,8 +284,10 @@ def fit(state: TrainState, train_data, cfg: SgdConfig, callbacks=None):
         if epoch in decay_at:
             lr = lr / cfg.decay_factor
         losses = []
-        for bi, batch in enumerate(stream.for_epoch(epoch)):
-            losses.append(sgd_step(state, batch, cfg, lr=lr, epoch=epoch, batch_index=bi))
+        # sgd_step reports an overflow as TrainingDiverged, not as a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for bi, batch in enumerate(stream.for_epoch(epoch)):
+                losses.append(sgd_step(state, batch, cfg, lr=lr, epoch=epoch, batch_index=bi))
         state.epoch = epoch
         features = backbone_forward(state.backbone, stream.dataset.inputs)
         predictions = heads.predict(state.head, features)

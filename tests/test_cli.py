@@ -1,6 +1,7 @@
 """End-to-end CLI tests through cli_main."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -132,3 +133,18 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "max relative error" in out
         assert "OK" in out
+
+
+class TestDivergence:
+    @pytest.mark.filterwarnings("error")
+    def test_diverged_training_exits_1_with_one_line(self, tmp_path, capsys):
+        cfg = json.loads((Path(__file__).resolve().parent.parent
+                          / "configs" / "blobs_isomaxplus.json").read_text())
+        cfg["sgd"].update(learning_rate=1e6, epochs=2, decay_epochs=[])
+        cfg.update(seeds=[1, 2], out_dir=str(tmp_path / "out"))
+        path = tmp_path / "diverge.json"
+        path.write_text(json.dumps(cfg))
+        assert cli_main(["train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: non-finite features at epoch 2 batch ")

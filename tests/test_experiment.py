@@ -3,6 +3,7 @@
 import copy
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from oodkit.data import gaussian_blobs, ood_ring
 from oodkit.experiment import (
     CheckpointError,
     ExperimentConfig,
+    load_config,
     ReportSchemaError,
     compare_heads,
     evaluate_checkpoint,
@@ -45,6 +47,18 @@ def tiny_config(head="isomaxplus", **overrides):
     }
     base.update(overrides)
     return ExperimentConfig.from_dict(base)
+
+
+def diverging_config():
+    """The shipped isomaxplus config at a learning rate that overflows the
+    features in epoch 2 while every parameter stays finite."""
+    cfg = load_config(Path(__file__).resolve().parent.parent
+                      / "configs" / "blobs_isomaxplus.json")
+    cfg.sgd.learning_rate = 1e6
+    cfg.sgd.epochs = 2
+    cfg.sgd.decay_epochs = []
+    cfg.seeds = [1, 2]
+    return cfg
 
 
 class TestConfigValidation:
@@ -329,7 +343,7 @@ class TestCheckpoints:
         (lambda st: st.velocities.__setitem__("head.prototypes", np.zeros((2, 8))),
          "velocity.head.prototypes"),
         (lambda st: st.velocities.__setitem__("head.distance_scale", np.zeros(2)),
-         "one value"),
+         "'velocity.head.distance_scale' has shape"),
         (lambda st: st.velocities.__setitem__("head.bogus", np.zeros(1)),
          "unexpected array"),
     ])
@@ -384,3 +398,15 @@ class TestCheckpoints:
         f = backbone_forward(state.backbone, val.inputs)
         np.testing.assert_array_equal(heads.predict(state.head, f),
                                       heads.predict(restored.head, f))
+
+
+class TestDivergence:
+    def test_run_experiment_skips_each_diverged_seed_with_a_warning(self):
+        report = run_experiment(diverging_config())
+        assert report.per_seed == []
+        assert report.aggregate == {"accuracy": None, "detection": []}
+        assert len(report.warnings) == 2
+        for seed, warning in zip((1, 2), report.warnings):
+            assert warning.startswith(f"seed {seed}: training diverged: non-finite features")
+            assert "epoch 2 batch" in warning
+        validate_report(report.to_dict())

@@ -1,0 +1,110 @@
+"""The gradient check must fail on wrong gradients.
+
+Each test seeds one bug into the analytic gradients by monkeypatching a
+copy of the gradient code, then asserts that both the suite and
+`oodkit gradcheck` report it.
+"""
+
+import numpy as np
+import pytest
+
+from oodkit import gradcheck, heads, model
+from oodkit.cli import GRADCHECK_TOLERANCE, cli_main
+from oodkit.numerics import NORM_EPS, stable_softmax_rows
+
+INSTANCES = 5
+
+
+def loss_grad_wrt_logits(head, logits, targets, mean=True, entropic=True):
+    """heads._loss_grad_wrt_logits, with switches that remove the 1/n of
+    the mean or the entropic scale from the gradient."""
+    scale = heads._training_scale(head)
+    n = len(targets)
+    probs = stable_softmax_rows(logits, scale)
+    grad = probs.copy()
+    grad[np.arange(n), targets] -= 1.0
+    grad *= (scale if entropic else 1.0) / (n if mean else 1)
+    clamped = probs[np.arange(n), targets] < heads.PROBABILITY_FLOOR
+    if np.any(clamped):
+        grad[clamped] = 0.0
+    return grad
+
+
+def normalize_backward_without_projection(raw, unit, d_unit):
+    """heads._normalize_backward with the (I - u u^T) projection dropped."""
+    norms = np.sqrt(np.einsum("ij,ij->i", raw, raw))
+    out = d_unit / np.maximum(norms, NORM_EPS)[:, np.newaxis]
+    out[norms < NORM_EPS] = 0.0
+    return out
+
+
+def backbone_backward_without_mask(b, inputs, d_features):
+    """model.backbone_backward with the rectifier mask dropped."""
+    _, layer_inputs, _ = model._forward_trace(b, inputs)
+    d_weights = [None] * len(b.weights)
+    d_biases = [None] * len(b.weights)
+    delta = np.asarray(d_features, dtype=np.float64)
+    for i in range(len(b.weights) - 1, -1, -1):
+        d_weights[i] = delta.T @ layer_inputs[i]
+        d_biases[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = delta @ b.weights[i]
+    return model.BackboneGradients(d_weights=d_weights, d_biases=d_biases)
+
+
+def flip_distance_scale_sign(monkeypatch):
+    backward = heads.backward
+
+    def flipped(head, features, targets):
+        grads = backward(head, features, targets)
+        if "distance_scale" in grads.params:
+            grads.params["distance_scale"] = -grads.params["distance_scale"]
+        return grads
+
+    monkeypatch.setattr(heads, "backward", flipped)
+
+
+BUGS = {
+    "distance_scale_sign_flipped": flip_distance_scale_sign,
+    "mean_without_1_over_n": lambda mp: mp.setattr(
+        heads, "_loss_grad_wrt_logits",
+        lambda head, logits, targets: loss_grad_wrt_logits(head, logits, targets, mean=False)),
+    "normalization_without_projection": lambda mp: mp.setattr(
+        heads, "_normalize_backward", normalize_backward_without_projection),
+    "rectifier_without_mask": lambda mp: mp.setattr(
+        model, "backbone_backward", backbone_backward_without_mask),
+    "logit_gradient_without_entropic_scale": lambda mp: mp.setattr(
+        heads, "_loss_grad_wrt_logits",
+        lambda head, logits, targets: loss_grad_wrt_logits(head, logits, targets,
+                                                           entropic=False)),
+}
+
+
+def test_unmodified_gradients_pass_at_the_same_size(capsys):
+    assert max(gradcheck.run_suite(instances=INSTANCES).values()) <= GRADCHECK_TOLERANCE
+    assert cli_main(["gradcheck", "--instances", str(INSTANCES)]) == 0
+    capsys.readouterr()
+
+
+def test_the_copies_match_the_originals():
+    # The seeded bugs differ from the real code only by the bug.
+    rng = np.random.default_rng(5)
+    head = heads.IsoMaxPlusHead(prototypes=rng.standard_normal((3, 4)), distance_scale=1.5)
+    logits, targets = rng.standard_normal((6, 3)), rng.integers(0, 3, size=6)
+    np.testing.assert_array_equal(loss_grad_wrt_logits(head, logits, targets),
+                                  heads._loss_grad_wrt_logits(head, logits, targets))
+    # A single affine layer has no rectifier, so the mask never applies.
+    backbone = model.make_backbone([3, 4], rng)
+    inputs, d_features = rng.standard_normal((6, 3)), rng.standard_normal((6, 4))
+    expected = model.backbone_backward(backbone, inputs, d_features)
+    got = backbone_backward_without_mask(backbone, inputs, d_features)
+    np.testing.assert_array_equal(got.d_weights[0], expected.d_weights[0])
+    np.testing.assert_array_equal(got.d_biases[0], expected.d_biases[0])
+
+
+@pytest.mark.parametrize("bug", sorted(BUGS))
+def test_gradcheck_catches_a_seeded_bug(bug, monkeypatch, capsys):
+    BUGS[bug](monkeypatch)
+    assert max(gradcheck.run_suite(instances=INSTANCES).values()) > GRADCHECK_TOLERANCE
+    assert cli_main(["gradcheck", "--instances", str(INSTANCES)]) == 1
+    assert "FAIL" in capsys.readouterr().out

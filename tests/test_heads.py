@@ -209,8 +209,8 @@ class TestBackward:
         head = IsoMaxPlusHead(prototypes=np.array([[1.0, 2.0]]))
         grads = backward(head, [[0.3, -0.4]], [0])
         np.testing.assert_array_equal(grads.d_features, 0.0)
-        np.testing.assert_array_equal(grads.d_prototypes, 0.0)
-        assert grads.d_distance_scale == 0.0
+        np.testing.assert_array_equal(grads.params["prototypes"], 0.0)
+        assert grads.params["distance_scale"] == 0.0
 
     def test_softmax_shift_invariance_of_loss(self):
         rng = np.random.default_rng(12)
@@ -222,7 +222,7 @@ class TestBackward:
         assert training_loss(head, f, t) == pytest.approx(
             training_loss(shifted, f, t), abs=1e-12)
         grads = backward(head, f, t)
-        assert grads.d_bias.sum() == pytest.approx(0.0, abs=1e-12)
+        assert grads.params["bias"].sum() == pytest.approx(0.0, abs=1e-12)
 
     def test_distance_scale_sign_irrelevant(self):
         rng = np.random.default_rng(13)
@@ -237,13 +237,13 @@ class TestBackward:
                                       inference_probabilities(neg, f))
         np.testing.assert_array_equal(predict(pos, f), predict(neg, f))
         gp, gn = backward(pos, f, t), backward(neg, f, t)
-        np.testing.assert_array_equal(gp.d_prototypes, gn.d_prototypes)
-        assert gp.d_distance_scale == -gn.d_distance_scale
+        np.testing.assert_array_equal(gp.params["prototypes"], gn.params["prototypes"])
+        assert gp.params["distance_scale"] == -gn.params["distance_scale"]
 
     def test_subgradient_at_zero_scale(self):
         head = IsoMaxPlusHead(prototypes=unit_prototypes(), distance_scale=0.0)
         grads = backward(head, [[0.6, 0.8]], [0])
-        assert grads.d_distance_scale == 0.0
+        assert grads.params["distance_scale"] == 0.0
 
 
 class TestIsometryInvariance:

@@ -161,6 +161,19 @@ class TestSgdStep:
                 (TrainingDiverged, ContractViolation)):
             sgd_step(state, batch, SgdConfig(), epoch=3, batch_index=1)
 
+    def test_overflowing_features_raise_diverged_with_location(self):
+        state, _ = blob_state_and_data("isomaxplus")
+        state.backbone.weights[0][:] = 1e300  # finite, but the features overflow
+        before = copy.deepcopy(state)
+        batch = heads.LabeledBatch(np.full((2, 2), 1e10), [0, 1])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                TrainingDiverged, match="features at epoch 3 batch 1") as info:
+            sgd_step(state, batch, SgdConfig(), epoch=3, batch_index=1)
+        assert (info.value.epoch, info.value.batch_index) == (3, 1)
+        for w0, w1 in zip(before.backbone.weights, state.backbone.weights):
+            np.testing.assert_array_equal(w0, w1)
+        assert not state.velocities
+
 
 class TestFit:
     def test_zero_epochs_is_identity(self):
