@@ -10,7 +10,6 @@ from .numerics import (
     ContractViolation,
     pairwise_euclidean,
     row_normalize,
-    shannon_entropy_row,
     shannon_entropy_rows,
     stable_softmax_rows,
 )
@@ -65,7 +64,6 @@ from .data import (
     load_idx,
     ood_ring,
     ood_uniform,
-    split_and_batch,
     write_csv,
     write_idx,
 )
@@ -79,10 +77,11 @@ from .experiment import (
     histogram_report,
     load_checkpoint,
     load_config,
+    ood_sets,
     run_experiment,
     save_checkpoint,
+    seed_data,
     validate_report,
 )
-from .cli import cli_main
 
 __version__ = "0.1.0"

@@ -36,10 +36,11 @@ def _load_config(path: str, args) -> ExperimentConfig:
         raise _UsageError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise _UsageError(f"config {path} is not valid JSON: {exc}") from exc
-    if getattr(args, "seed", None) is not None:
-        raw["seeds"] = [args.seed]
-    if getattr(args, "out_dir", None) is not None:
-        raw["out_dir"] = args.out_dir
+    if isinstance(raw, dict):  # from_dict rejects anything else in one line
+        if getattr(args, "seed", None) is not None:
+            raw["seeds"] = [args.seed]
+        if getattr(args, "out_dir", None) is not None:
+            raw["out_dir"] = args.out_dir
     return ExperimentConfig.from_dict(raw)
 
 
@@ -52,7 +53,7 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
 def _cmd_train(args) -> int:
     cfg = _load_config(args.config, args)
     seed = cfg.seeds[0]
-    state, trace, val, _, _ = experiment.train_single_seed(cfg, seed)
+    state, trace, data = experiment.train_single_seed(cfg, seed)
     out = _out_dir(cfg)
     ckpt_path = out / f"checkpoint_seed{seed}.bin"
     experiment.save_checkpoint(state, ckpt_path)
@@ -61,9 +62,9 @@ def _cmd_train(args) -> int:
             f, fieldnames=["epoch", "learning_rate", "mean_loss", "train_accuracy"])
         writer.writeheader()
         writer.writerows(trace)
-    features = backbone_forward(state.backbone, val.inputs)
+    features = backbone_forward(state.backbone, data.val.inputs)
     accuracy = metrics.classification_accuracy(
-        heads.predict(state.head, features), val.targets)
+        heads.predict(state.head, features), data.val.targets)
     summary = {"seed": seed, "val_accuracy": accuracy,
                "checkpoint": str(ckpt_path), "epochs": cfg.sgd.epochs}
     with open(out / f"train_summary_seed{seed}.json", "w", encoding="utf-8") as f:
@@ -79,11 +80,9 @@ def _cmd_eval(args) -> int:
         args.checkpoint, expected_head_kind=cfg.head,
         expected_config_hash=cfg.config_hash())
     seed = state.seed
-    record, dumps = experiment.evaluate_checkpoint(cfg, state)
-    report = experiment.Report(
-        config=cfg.to_dict(), per_seed=[record],
-        aggregate=experiment._aggregate(cfg, [record]),
-        warnings=[], wall_time_seconds=0.0)
+    record, dumps = experiment.evaluate_checkpoint(
+        cfg, state, experiment.seed_data(cfg, seed)[1])
+    report = experiment.Report.from_records(cfg, [record], [], 0.0)
     out = _out_dir(cfg)
     report_path = out / f"report_seed{seed}.json"
     with open(report_path, "w", encoding="utf-8") as f:
@@ -123,11 +122,11 @@ def _cmd_hist(args) -> int:
     state = experiment.load_checkpoint(
         args.checkpoint, expected_config_hash=cfg.config_hash())
     seed = state.seed
-    _, val, heldout, scaler = experiment._seed_datasets(cfg, seed)
     if not cfg.ood:
         raise ContractViolation("hist needs at least one OOD spec in the config")
-    ood_ds = experiment._ood_dataset(cfg, cfg.ood[0], 0, seed, heldout, scaler)
-    tables = experiment.histogram_report(state, val, ood_ds, args.bins)
+    data = experiment.seed_data(cfg, seed)[1]
+    _, ood_ds = next(experiment.ood_sets(cfg, data))
+    tables = experiment.histogram_report(state, data.val, ood_ds, args.bins)
     out = _out_dir(cfg)
     for name, rows in tables.items():
         path = out / f"hist_{name}_seed{seed}.csv"

@@ -6,6 +6,7 @@ dataset can always be regenerated bit for bit.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -268,14 +269,22 @@ class BatchStream:
                                         self.dataset.targets[index]))
         return batches
 
-    def __iter__(self):
-        return iter(self.for_epoch(0))
 
+def spec_value(spec: dict, key: str, convert=float, default=None):
+    """spec[key] passed through convert, or default when the key is absent.
 
-def split_and_batch(ds: Dataset, val_fraction: float, batch_size: int, seed):
-    """Split off a validation set and wrap the rest in a reshuffle stream."""
-    train, val = split_dataset(ds, val_fraction, seed)
-    return BatchStream(train, batch_size, seed), val
+    A missing key without a default, or a value that convert rejects,
+    raises a ContractViolation naming the spec's kind and the key.
+    """
+    if key not in spec:
+        if default is None:
+            raise ContractViolation(f"{spec.get('kind')} spec is missing {key!r}")
+        return default
+    try:
+        return convert(spec[key])
+    except (TypeError, ValueError):
+        raise ContractViolation(f"{spec.get('kind')} spec key {key!r} must be "
+                                f"{convert.__name__}, got {spec[key]!r}") from None
 
 
 def dataset_from_spec(spec: dict, seed) -> Dataset:
@@ -283,21 +292,20 @@ def dataset_from_spec(spec: dict, seed) -> Dataset:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ContractViolation("data spec must be a mapping with a 'kind' key")
     kind = spec["kind"]
+    get = functools.partial(spec_value, spec)
     if kind == "blobs":
         return gaussian_blobs(
-            classes=int(spec["classes"]), dims=int(spec.get("dims", 2)),
-            centers_radius=float(spec["centers_radius"]), sigma=float(spec["sigma"]),
-            n_per_class=int(spec["n_per_class"]), seed=seed)
+            classes=get("classes", int), dims=get("dims", int, 2),
+            centers_radius=get("centers_radius"), sigma=get("sigma"),
+            n_per_class=get("n_per_class", int), seed=seed)
     if kind == "uniform":
-        return ood_uniform(dims=int(spec.get("dims", 2)), low=float(spec["low"]),
-                           high=float(spec["high"]), n=int(spec["n"]), seed=seed)
+        return ood_uniform(dims=get("dims", int, 2), low=get("low"), high=get("high"),
+                           n=get("n", int), seed=seed)
     if kind == "ring":
-        return ood_ring(inner_radius=float(spec["inner_radius"]),
-                        outer_radius=float(spec["outer_radius"]),
-                        n=int(spec["n"]), seed=seed,
-                        dims=int(spec.get("dims", 2)))
+        return ood_ring(inner_radius=get("inner_radius"), outer_radius=get("outer_radius"),
+                        n=get("n", int), seed=seed, dims=get("dims", int, 2))
     if kind == "idx":
-        return load_idx(spec["images"], spec["labels"])
+        return load_idx(get("images", str), get("labels", str))
     if kind == "csv":
-        return load_csv(spec["path"])
+        return load_csv(get("path", str))
     raise ContractViolation(f"unknown data spec kind {kind!r}")

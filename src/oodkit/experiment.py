@@ -59,6 +59,14 @@ class ReportSchemaError(ValueError):
     """A report dict does not satisfy the shipped schema."""
 
 
+def _check_keys(d, known, what: str):
+    if not isinstance(d, dict):
+        raise ContractViolation(f"{what} must be a JSON object, got {type(d).__name__}")
+    unknown = set(d) - set(known)
+    if unknown:
+        raise ContractViolation(f"unknown {what} keys: {sorted(unknown)}")
+
+
 @dataclass
 class ExperimentConfig:
     head: str
@@ -83,6 +91,8 @@ class ExperimentConfig:
         if "min_distance" in self.score_kinds and self.head not in DISTANCE_HEAD_KINDS:
             raise ContractViolation(
                 "the min_distance score requires a distance-based head (isomax or isomaxplus)")
+        if not isinstance(self.seeds, (list, tuple)):
+            raise ContractViolation(f"seeds must be a list of ints, got {self.seeds!r}")
         self.seeds = [int(s) for s in self.seeds]
         if len(self.seeds) < 1:
             raise ContractViolation("at least one seed is required")
@@ -93,20 +103,16 @@ class ExperimentConfig:
         if self.entropic_scale <= 0:
             raise ContractViolation("entropic_scale must be positive")
         if (self.in_distribution.get("kind") == "blobs"
-                and int(self.in_distribution.get("classes", 0)) < 2):
+                and data_mod.spec_value(self.in_distribution, "classes", int, 0) < 2):
             raise ContractViolation("in-distribution spec needs at least 2 classes")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        _check_keys(d, cls.__dataclass_fields__, "config")
         d = dict(d)
         sgd = d.pop("sgd", {})
-        if isinstance(sgd, dict):
-            sgd = SgdConfig(**sgd)
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ContractViolation(f"unknown config keys: {sorted(unknown)}")
-        return cls(sgd=sgd, **d)
+        _check_keys(sgd, SgdConfig.__dataclass_fields__, "sgd")
+        return cls(sgd=SgdConfig(**sgd), **d)
 
     def to_dict(self) -> dict:
         return {
@@ -159,6 +165,14 @@ class Report:
     warnings: list
     wall_time_seconds: float
     schema_version: int = REPORT_SCHEMA_VERSION
+
+    @classmethod
+    def from_records(cls, cfg: ExperimentConfig, per_seed: list, warnings: list,
+                     wall_time_seconds: float) -> "Report":
+        """The report of per-seed evaluation records, aggregated across seeds."""
+        return cls(config=cfg.to_dict(), per_seed=per_seed,
+                   aggregate=_aggregate(cfg, per_seed), warnings=warnings,
+                   wall_time_seconds=wall_time_seconds)
 
     def to_dict(self, include_wall_time: bool = True) -> dict:
         d = {
@@ -223,13 +237,27 @@ class InputScaler:
         return cls(mean=np.zeros(dim), scale=np.ones(dim))
 
     def apply(self, ds: data_mod.Dataset) -> data_mod.Dataset:
-        inputs = (ds.inputs - self.mean) / self.scale
+        inputs = ds.inputs - self.mean
+        inputs /= self.scale  # in place: one data-sized temporary, not two
         return data_mod.Dataset(inputs, ds.targets, ds.provenance)
 
 
-def _seed_datasets(cfg: ExperimentConfig, seed: int):
-    """In-distribution train stream, validation split, held-out pool, and
-    the input scaler fitted on the training split."""
+@dataclass(frozen=True)
+class SeedData:
+    """What evaluating one seed reads: the standardized validation split,
+    the held-out pool (raw, or None without train_classes) and the scaler
+    fitted on the training split. The training split itself is not kept,
+    so it can be freed once training has standardized it."""
+
+    seed: int
+    val: data_mod.Dataset
+    heldout: data_mod.Dataset | None
+    scaler: InputScaler
+
+
+def seed_data(cfg: ExperimentConfig, seed: int):
+    """The datasets of one seed: returns (train, data), the raw training
+    split and its SeedData."""
     full = data_mod.dataset_from_spec(cfg.in_distribution, [seed, IN_DATA_STREAM])
     in_ds, heldout = _split_heldout(cfg, full)
     if in_ds.class_count < 2:
@@ -240,44 +268,44 @@ def _seed_datasets(cfg: ExperimentConfig, seed: int):
             f"width {cfg.backbone_widths[0]}")
     train, val = data_mod.split_dataset(in_ds, cfg.val_fraction,
                                         (seed, SPLIT_BATCH_STREAM))
+    del full, in_ds  # the split copied its rows
     if cfg.standardize_inputs:
         scaler = InputScaler.fit(train.inputs)
     else:
         scaler = InputScaler.identity(train.inputs.shape[1])
-    stream = data_mod.BatchStream(scaler.apply(train), cfg.sgd.batch_size,
-                                  (seed, SPLIT_BATCH_STREAM))
-    return stream, scaler.apply(val), heldout, scaler
+    return train, SeedData(seed, scaler.apply(val), heldout, scaler)
 
 
-def _ood_dataset(cfg: ExperimentConfig, spec: dict, index: int, seed: int,
-                 heldout: data_mod.Dataset | None,
-                 scaler: InputScaler) -> data_mod.Dataset:
-    if spec.get("kind") == "heldout":
-        if heldout is None or len(heldout) == 0:
+def ood_sets(cfg: ExperimentConfig, data: SeedData):
+    """Yield (name, standardized dataset) per OOD spec, in config order,
+    building each set only when it is reached."""
+    for i, spec in enumerate(cfg.ood):
+        if spec.get("kind") != "heldout":
+            ood = data_mod.dataset_from_spec(spec, [data.seed, OOD_STREAM_BASE + i])
+        elif data.heldout is not None and len(data.heldout):
+            ood = data.heldout
+        else:
             raise ContractViolation(
                 "an OOD spec of kind 'heldout' needs in_distribution.train_classes")
-        return scaler.apply(heldout)
-    return scaler.apply(
-        data_mod.dataset_from_spec(spec, [seed, OOD_STREAM_BASE + index]))
+        # Rebinding drops the raw set, so only the standardized one is held
+        # while the generator waits at the yield.
+        ood = data.scaler.apply(ood)
+        yield _ood_name(spec, i), ood
 
 
-def evaluate_checkpoint(cfg: ExperimentConfig, state: TrainState):
+def evaluate_checkpoint(cfg: ExperimentConfig, state: TrainState, data: SeedData):
     """Accuracy, detection metrics and score diagnostics for one trained
-    state, on the datasets rebuilt for its seed.
+    state, on the SeedData of its seed.
 
     The head runs once on the validation split and once on each OOD set;
     every number comes from those outputs. Returns (record, dumps): the
     per-seed report record, and one (ood name, score kind, in_scores,
     out_scores) tuple per OOD set and score kind, in config order.
     """
-    _, val, heldout, scaler = _seed_datasets(cfg, state.seed)
-    return _evaluate(cfg, state, val, heldout, scaler)
-
-
-def _evaluate(cfg: ExperimentConfig, state: TrainState, val: data_mod.Dataset,
-              heldout, scaler: InputScaler):
-    """evaluate_checkpoint on datasets the caller already holds."""
-    seed = state.seed
+    if data.seed != state.seed:
+        raise ContractViolation(
+            f"data of seed {data.seed} cannot evaluate a state of seed {state.seed}")
+    val = data.val
     val_out = heads.head_outputs(state.head, backbone_forward(state.backbone, val.inputs))
     accuracy = metrics.classification_accuracy(np.argmax(val_out.logits, axis=1), val.targets)
     in_scores = {kind: scores.compute_score(kind, val_out) for kind in cfg.score_kinds}
@@ -287,9 +315,7 @@ def _evaluate(cfg: ExperimentConfig, state: TrainState, val: data_mod.Dataset,
             np.median(val_out.distances.min(axis=1)))
 
     ood_evaluations, dumps = [], []
-    for i, spec in enumerate(cfg.ood):
-        name = _ood_name(spec, i)
-        ood_ds = _ood_dataset(cfg, spec, i, seed, heldout, scaler)
+    for name, ood_ds in ood_sets(cfg, data):
         ood_out = heads.head_outputs(state.head,
                                      backbone_forward(state.backbone, ood_ds.inputs))
         diagnostics = {**in_diagnostics, "mean_entropy_out": float(ood_out.entropy.mean())}
@@ -312,19 +338,22 @@ def _evaluate(cfg: ExperimentConfig, state: TrainState, val: data_mod.Dataset,
             "diagnostics": diagnostics,
             "metrics": records,
         })
-    record = {"seed": seed, "accuracy": accuracy, "ood_evaluations": ood_evaluations}
+    record = {"seed": state.seed, "accuracy": accuracy, "ood_evaluations": ood_evaluations}
     return record, dumps
 
 
 def train_single_seed(cfg: ExperimentConfig, seed: int):
-    """Train one model; returns (state, trace, validation split, heldout
-    pool, input scaler)."""
-    stream, val, heldout, scaler = _seed_datasets(cfg, seed)
+    """Train one model; returns (state, trace, data), data being the
+    seed's SeedData for evaluate_checkpoint."""
+    train, data = seed_data(cfg, seed)
+    stream = data_mod.BatchStream(data.scaler.apply(train), cfg.sgd.batch_size,
+                                  (seed, SPLIT_BATCH_STREAM))
+    del train  # only the standardized split lives through fit
     state = make_train_state(cfg.backbone_widths, cfg.head,
                              stream.dataset.class_count, seed, cfg.entropic_scale)
     state.config_hash = cfg.config_hash()
     state, trace = fit(state, stream, cfg.sgd)
-    return state, trace, val, heldout, scaler
+    return state, trace, data
 
 
 def _mean_std(values) -> dict:
@@ -362,17 +391,11 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     per_seed, warn = [], []
     for seed in cfg.seeds:
         try:
-            state, _, val, heldout, scaler = train_single_seed(cfg, seed)
-            per_seed.append(_evaluate(cfg, state, val, heldout, scaler)[0])
+            state, _, data = train_single_seed(cfg, seed)
+            per_seed.append(evaluate_checkpoint(cfg, state, data)[0])
         except TrainingDiverged as exc:
             warn.append(f"seed {seed}: training diverged: {exc}")
-    report = Report(
-        config=cfg.to_dict(),
-        per_seed=per_seed,
-        aggregate=_aggregate(cfg, per_seed),
-        warnings=warn,
-        wall_time_seconds=time.perf_counter() - t0,
-    )
+    report = Report.from_records(cfg, per_seed, warn, time.perf_counter() - t0)
     validate_report(report.to_dict())
     return report
 

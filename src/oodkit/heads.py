@@ -276,20 +276,6 @@ def training_loss(head: ClassifierHead, features, targets) -> float:
     return float(-np.log(np.maximum(at_target, PROBABILITY_FLOOR)).mean())
 
 
-def fused_log_softmax_loss(head: ClassifierHead, features, targets) -> float:
-    """Diagnostic only: the same loss via a fused log-sum-exp.
-
-    Kept so the separate-form loss above can be compared against the
-    fused form; nothing in training uses this.
-    """
-    features = _check_features(head, features)
-    targets = _check_targets(head, targets, len(features))
-    z = forward_logits(head, features) * _training_scale(head)
-    z = z - z.max(axis=1, keepdims=True)
-    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    return float(-log_probs[np.arange(len(targets)), targets].mean())
-
-
 def inference_probabilities(head: ClassifierHead, features) -> np.ndarray:
     """Softmax of the raw logits with the entropic scale removed."""
     return stable_softmax_rows(forward_logits(head, features), 1.0)

@@ -14,12 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import heads
-from .data import BatchStream, Dataset
+from .data import BatchStream
 from .heads import ClassifierHead, HeadGradients, LabeledBatch
 from .numerics import ContractViolation, as_matrix
 
 INIT_STREAM = 1
-SHUFFLE_STREAM = 2
 
 
 class TrainingDiverged(RuntimeError):
@@ -258,25 +257,14 @@ def sgd_step(state: TrainState, batch: LabeledBatch, cfg: SgdConfig,
     return loss
 
 
-def fit(state: TrainState, train_data, cfg: SgdConfig, callbacks=None):
-    """Run the epoch loop; returns (state, trace).
+def fit(state: TrainState, stream: BatchStream, cfg: SgdConfig, callbacks=None):
+    """Run the epoch loop over a stream's batches; returns (state, trace).
 
-    train_data is either a labeled Dataset / LabeledBatch (batched here
-    with a reshuffle stream derived from state.seed) or a data.BatchStream.
     The learning rate is divided by decay_factor at the start of each
     epoch listed in decay_epochs. Each trace row records the epoch, the
     learning rate in effect, the mean batch loss, and full-pass training
     accuracy.
     """
-    if isinstance(train_data, BatchStream):
-        stream = train_data
-    elif isinstance(train_data, Dataset):
-        stream = BatchStream(train_data, cfg.batch_size, (state.seed, SHUFFLE_STREAM))
-    else:
-        ds = Dataset(inputs=train_data.features, targets=train_data.targets,
-                     provenance="in-memory batch")
-        stream = BatchStream(ds, cfg.batch_size, (state.seed, SHUFFLE_STREAM))
-
     trace = []
     lr = cfg.learning_rate
     decay_at = set(int(e) for e in cfg.decay_epochs)

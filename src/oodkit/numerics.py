@@ -90,14 +90,6 @@ def _check_probability_rows(p: np.ndarray, tol: float = 1e-6) -> np.ndarray:
     return p
 
 
-def shannon_entropy_row(p) -> float:
-    """Shannon entropy of one probability row, in nats, with 0 ln 0 = 0."""
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1:
-        raise ContractViolation(f"expected a 1-D probability row, got shape {p.shape}")
-    return float(shannon_entropy_rows(p[np.newaxis, :])[0])
-
-
 def shannon_entropy_rows(p) -> np.ndarray:
     """Per-row Shannon entropy of a matrix of probability rows (nats)."""
     p = _check_probability_rows(p)

@@ -7,6 +7,8 @@ candidate with direct comparisons.
 
 import numpy as np
 
+from oodkit import heads
+
 
 def auroc_oracle(in_scores, out_scores):
     """Pairwise Mann-Whitney count: win 1, tie 0.5."""
@@ -67,3 +69,14 @@ def pairwise_euclidean_oracle(a, b):
     b = np.asarray(b, dtype=np.float64)
     diff = a[:, np.newaxis, :] - b[np.newaxis, :, :]
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+
+
+def fused_log_softmax_loss(head, features, targets):
+    """The training loss by one fused log-sum-exp over the scaled logits,
+    against which the separate-form heads.training_loss is compared. The
+    entropic scale sharpens the distance heads only."""
+    scale = 1.0 if head.kind == "softmax" else float(head.entropic_scale)
+    z = heads.forward_logits(head, features) * scale
+    z = z - z.max(axis=1, keepdims=True)
+    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return float(-log_probs[np.arange(len(targets)), np.asarray(targets)].mean())

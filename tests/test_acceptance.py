@@ -131,10 +131,10 @@ def test_criterion_3_score_consistency():
             distance_scale=float(rng_master.uniform(0.3, 3.0)
                                  * rng_master.choice([-1.0, 1.0])))
         instances.append((head, rng_master.standard_normal((n, d))))
-    trained, _, val, _, _ = train_single_seed(
+    trained, _, data = train_single_seed(
         desk_config("isomaxplus", ["min_distance"]), seed=1)
     instances.append((trained.head,
-                      backbone_forward(trained.backbone, val.inputs[:40])))
+                      backbone_forward(trained.backbone, data.val.inputs[:40])))
 
     for head, features in instances:
         mds = min_distance_score(head, features)
@@ -277,13 +277,13 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
     json_b = run_experiment(cfg).to_json(include_wall_time=False)
     reports_ok = json_a == json_b
 
-    state, _, val, _, _ = train_single_seed(cfg, 1)
+    state, _, data = train_single_seed(cfg, 1)
     p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
     save_checkpoint(state, p1)
     restored = load_checkpoint(p1)
     save_checkpoint(restored, p2)
-    f_live = backbone_forward(state.backbone, val.inputs)
-    f_restored = backbone_forward(restored.backbone, val.inputs)
+    f_live = backbone_forward(state.backbone, data.val.inputs)
+    f_restored = backbone_forward(restored.backbone, data.val.inputs)
     ckpt_ok = (np.array_equal(
         heads.inference_probabilities(state.head, f_live),
         heads.inference_probabilities(restored.head, f_restored))

@@ -1,11 +1,18 @@
 """End-to-end CLI tests through cli_main."""
 
+import ast
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from oodkit.cli import cli_main
+from oodkit.data import BatchStream
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -52,6 +59,91 @@ class TestUsageErrors:
     def test_help_exits_0(self, capsys):
         assert cli_main(["--help"]) == 0
         capsys.readouterr()
+
+
+def drop(section, key):
+    def edit(cfg):
+        target = cfg[section][0] if section == "ood" else cfg[section]
+        del target[key]
+        return cfg
+    return edit
+
+
+def update(section, **changes):
+    def edit(cfg):
+        cfg[section].update(changes)
+        return cfg
+    return edit
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize("command, edit, message", [
+        ("train", drop("in_distribution", "sigma"), "blobs spec is missing 'sigma'"),
+        ("train", update("in_distribution", classes="four"),
+         "blobs spec key 'classes' must be int, got 'four'"),
+        ("train", lambda cfg: [cfg], "config must be a JSON object, got list"),
+        ("train", update("sgd", nesterov=True), "unknown sgd keys: ['nesterov']"),
+        ("train", lambda cfg: {**cfg, "seeds": None}, "seeds must be a list of ints, got None"),
+        ("eval", drop("ood", "inner_radius"), "ring spec is missing 'inner_radius'"),
+    ], ids=["missing_sigma", "classes_four", "list_config", "unknown_sgd_key",
+            "null_seeds", "ring_without_inner_radius"])
+    def test_exits_1_with_one_line(self, config_path, tmp_path, capsys, command, edit,
+                                   message):
+        path = config_path()
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        argv = ["--config", str(path)]
+        if command == "eval":
+            # a bad OOD spec is only read once the OOD sets are built
+            assert cli_main(["train", *argv]) == 0
+            argv += ["--checkpoint", str(tmp_path / "out" / "checkpoint_seed1.bin")]
+        capsys.readouterr()
+        assert cli_main([command, *argv]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+class TestPublicApiOnly:
+    def test_cli_reads_no_private_name_of_an_oodkit_module(self):
+        tree = ast.parse((SRC / "oodkit" / "cli.py").read_text(encoding="utf-8"))
+        relative = [node for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level == 1]
+        modules = {alias.asname or alias.name
+                   for node in relative if node.module is None for alias in node.names}
+        assert "experiment" in modules
+        private = [alias.name for node in relative for alias in node.names
+                   if alias.name.startswith("_")]
+        private += [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules and node.attr.startswith("_")]
+        assert private == []
+
+    def test_eval_and_hist_build_no_batch_stream(self, config_path, tmp_path, capsys,
+                                                 monkeypatch):
+        cfg = config_path()
+        assert cli_main(["train", "--config", str(cfg)]) == 0
+        built = []
+        original = BatchStream.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(BatchStream, "__init__", counting)
+        ckpt = str(tmp_path / "out" / "checkpoint_seed1.bin")
+        assert cli_main(["eval", "--config", str(cfg), "--checkpoint", ckpt]) == 0
+        assert cli_main(["hist", "--config", str(cfg), "--checkpoint", ckpt]) == 0
+        assert built == []
+        assert cli_main(["train", "--config", str(cfg)]) == 0
+        assert built == [1]
+        capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["gradcheck", "--instances", "1"]])
+def test_module_entry_point_keeps_stderr_empty(argv):
+    result = subprocess.run(
+        [sys.executable, "-m", "oodkit.cli", *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
 
 
 class TestTrainEval:

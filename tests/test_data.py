@@ -15,7 +15,6 @@ from oodkit.data import (
     load_idx,
     ood_ring,
     ood_uniform,
-    split_and_batch,
     split_dataset,
     write_csv,
     write_idx,
@@ -146,6 +145,13 @@ class TestIdx:
             write_idx(ds, tmp_path / "i", tmp_path / "l")
 
 
+def split_and_batch(ds, val_fraction, batch_size, seed):
+    """A validation split plus a reshuffle stream over the rest, both
+    seeded by `seed`."""
+    train, val = split_dataset(ds, val_fraction, seed)
+    return BatchStream(train, batch_size, seed), val
+
+
 class TestSplitAndBatch:
     def dataset(self, n=37):
         rng = np.random.default_rng(11)
@@ -243,3 +249,17 @@ class TestDatasetFromSpec:
     def test_unknown_kind(self):
         with pytest.raises(ContractViolation):
             dataset_from_spec({"kind": "moons"}, seed=0)
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"kind": "ring", "outer_radius": 12.0, "n": 5},
+         "ring spec is missing 'inner_radius'"),
+        ({"kind": "blobs", "classes": "four", "centers_radius": 4.0, "sigma": 0.5,
+          "n_per_class": 5}, "blobs spec key 'classes' must be int, got 'four'"),
+        ({"kind": "uniform", "low": None, "high": 1.0, "n": 5},
+         "uniform spec key 'low' must be float, got None"),
+        ({"kind": "csv"}, "csv spec is missing 'path'"),
+    ])
+    def test_missing_or_malformed_key_names_kind_and_key(self, spec, message):
+        with pytest.raises(ContractViolation) as info:
+            dataset_from_spec(spec, seed=0)
+        assert str(info.value) == message

@@ -3,11 +3,13 @@
 import copy
 import math
 import struct
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oodkit import data as data_mod
 from oodkit import experiment, heads, numerics
 from oodkit.data import gaussian_blobs, ood_ring
 from oodkit.experiment import (
@@ -19,8 +21,10 @@ from oodkit.experiment import (
     evaluate_checkpoint,
     histogram_report,
     load_checkpoint,
+    ood_sets,
     run_experiment,
     save_checkpoint,
+    seed_data,
     train_single_seed,
     validate_report,
     write_histogram_csv,
@@ -139,7 +143,7 @@ class TestEvaluateCheckpoint:
     @pytest.mark.parametrize("head", ["softmax", "isomax", "isomaxplus"])
     def test_one_distance_pass_per_dataset(self, monkeypatch, head):
         cfg = heldout_config(head)
-        state = train_single_seed(cfg, 1)[0]
+        state, _, data = train_single_seed(cfg, 1)
         calls = []
         original = numerics.pairwise_euclidean
 
@@ -149,19 +153,18 @@ class TestEvaluateCheckpoint:
 
         monkeypatch.setattr(numerics, "pairwise_euclidean", counting)
         monkeypatch.setattr(heads, "pairwise_euclidean", counting)
-        evaluate_checkpoint(cfg, state)
+        evaluate_checkpoint(cfg, state, data)
         assert len(calls) == (0 if head == "softmax" else 1 + len(cfg.ood))
 
     @pytest.mark.parametrize("head", ["softmax", "isomax", "isomaxplus"])
     def test_dumps_equal_per_dataset_scores(self, head):
         cfg = heldout_config(head)
-        state, _, val, heldout, scaler = train_single_seed(cfg, 1)
-        record, dumps = evaluate_checkpoint(cfg, state)
+        state, _, data = train_single_seed(cfg, 1)
+        record, dumps = evaluate_checkpoint(cfg, state, data)
         assert record == run_experiment(cfg).per_seed[0]
-        features = {"in": backbone_forward(state.backbone, val.inputs)}
-        for i, spec in enumerate(cfg.ood):
-            ood = experiment._ood_dataset(cfg, spec, i, 1, heldout, scaler)
-            features[spec["name"]] = backbone_forward(state.backbone, ood.inputs)
+        features = {"in": backbone_forward(state.backbone, data.val.inputs)}
+        for name, ood in ood_sets(cfg, data):
+            features[name] = backbone_forward(state.backbone, ood.inputs)
         assert [(name, kind) for name, kind, _, _ in dumps] == [
             (spec["name"], kind) for spec in cfg.ood for kind in cfg.score_kinds]
         for name, kind, in_scores, out_scores in dumps:
@@ -169,6 +172,74 @@ class TestEvaluateCheckpoint:
                 in_scores, compute_score(kind, heads.head_outputs(state.head, features["in"])))
             np.testing.assert_array_equal(
                 out_scores, compute_score(kind, heads.head_outputs(state.head, features[name])))
+
+
+def collected(refs):
+    return all(ref() is None for ref in refs)
+
+
+class TestSeedData:
+    def test_data_of_another_seed_rejected(self):
+        cfg = tiny_config()
+        state = make_train_state(cfg.backbone_widths, cfg.head, 3, seed=1)
+        with pytest.raises(ContractViolation, match="data of seed 2"):
+            evaluate_checkpoint(cfg, state, seed_data(cfg, 2)[1])
+
+    def test_validation_split_arrives_standardized(self, monkeypatch):
+        cfg = heldout_config("isomaxplus")
+        state = make_train_state(cfg.backbone_widths, cfg.head, 3, seed=1)
+        data = seed_data(cfg, 1)[1]
+        applied = []
+        original = experiment.InputScaler.apply
+
+        def counting(self, ds):
+            applied.append(ds)
+            return original(self, ds)
+
+        monkeypatch.setattr(experiment.InputScaler, "apply", counting)
+        evaluate_checkpoint(cfg, state, data)
+        assert len(applied) == len(cfg.ood)
+
+    def test_raw_training_split_is_freed_before_fit(self, monkeypatch):
+        refs = []
+        original_seed_data, original_fit = experiment.seed_data, experiment.fit
+
+        def tracking_seed_data(cfg, seed):
+            train, data = original_seed_data(cfg, seed)
+            refs.extend([weakref.ref(train), weakref.ref(train.inputs)])
+            return train, data
+
+        def checking_fit(state, stream, cfg):
+            freed_at_fit.append(collected(refs))
+            return original_fit(state, stream, cfg)
+
+        freed_at_fit = []
+        monkeypatch.setattr(experiment, "seed_data", tracking_seed_data)
+        monkeypatch.setattr(experiment, "fit", checking_fit)
+        train_single_seed(tiny_config(), 1)
+        assert len(refs) == 2 and freed_at_fit == [True]
+
+    def test_ood_sets_build_lazily_and_hold_only_the_standardized_set(self, monkeypatch):
+        cfg = tiny_config(ood=[{"name": "ring", "kind": "ring", "inner_radius": 8.0,
+                                "outer_radius": 12.0, "n": 60},
+                               {"name": "box", "kind": "uniform", "low": -12.0,
+                                "high": 12.0, "n": 50}])
+        data = seed_data(cfg, 1)[1]
+        refs = []
+        original = data_mod.dataset_from_spec
+
+        def tracking(spec, seed):
+            ds = original(spec, seed)
+            refs.append([weakref.ref(ds), weakref.ref(ds.inputs)])
+            return ds
+
+        monkeypatch.setattr(data_mod, "dataset_from_spec", tracking)
+        names = []
+        for name, _ in ood_sets(cfg, data):
+            names.append(name)
+            assert len(refs) == len(names)
+            assert collected(ref for pair in refs for ref in pair)
+        assert names == ["ring", "box"]
 
 
 class TestValidateReport:
@@ -245,11 +316,11 @@ class TestHistogramReport:
         assert count_in == 30 and count_out == 20
 
     def test_counts_sum_to_dataset_sizes(self):
-        state, _, val, _, _ = train_single_seed(tiny_config(seeds=[1]), 1)
+        state, _, data = train_single_seed(tiny_config(seeds=[1]), 1)
         ood = ood_ring(8.0, 12.0, 33, seed=5)
-        tables = histogram_report(state, val, ood, bins=12)
+        tables = histogram_report(state, data.val, ood, bins=12)
         for rows in tables.values():
-            assert sum(r[2] for r in rows) == len(val)
+            assert sum(r[2] for r in rows) == len(data.val)
             assert sum(r[3] for r in rows) == 33
 
     def test_min_distance_table_only_for_distance_heads(self):
@@ -285,8 +356,8 @@ class TestScoreDump:
 
 class TestCheckpoints:
     def trained_state(self, head="isomaxplus"):
-        state, _, val, _, _ = train_single_seed(tiny_config(head, seeds=[1]), 1)
-        return state, val
+        state, _, data = train_single_seed(tiny_config(head, seeds=[1]), 1)
+        return state, data.val
 
     def test_round_trip_restores_bit_exact_inference(self, tmp_path):
         state, val = self.trained_state()

@@ -13,7 +13,6 @@ from oodkit.heads import (
     backward,
     feature_prototype_distances,
     forward_logits,
-    fused_log_softmax_loss,
     head_outputs,
     inference_probabilities,
     make_isomax_head,
@@ -24,6 +23,7 @@ from oodkit.heads import (
     training_probabilities,
 )
 from oodkit.numerics import ContractViolation, pairwise_euclidean, shannon_entropy_rows
+from oracles import fused_log_softmax_loss
 
 
 def unit_prototypes():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oodkit import gradcheck, heads
-from oodkit.data import gaussian_blobs
+from oodkit.data import BatchStream, gaussian_blobs
 from oodkit.model import (
     MlpBackbone,
     SgdConfig,
@@ -101,6 +101,12 @@ def blob_state_and_data(head_kind, seed=0, classes=2, n=60):
     return state, ds
 
 
+def stream(state, ds, batch_size=64):
+    """Batches reshuffled by (seed, 2) per epoch, as fit once built them
+    from a bare Dataset."""
+    return BatchStream(ds, batch_size, (state.seed, 2))
+
+
 class TestSgdStep:
     def make_batch(self, rng, n=16):
         return heads.LabeledBatch(rng.standard_normal((n, 2)) * 3.0,
@@ -179,14 +185,14 @@ class TestFit:
     def test_zero_epochs_is_identity(self):
         state, ds = blob_state_and_data("isomax")
         before = copy.deepcopy(state)
-        _, trace = fit(state, ds, SgdConfig(epochs=0))
+        _, trace = fit(state, stream(state, ds), SgdConfig(epochs=0))
         assert trace == []
         np.testing.assert_array_equal(before.head.prototypes, state.head.prototypes)
 
     def test_decay_schedule_visible_in_trace(self):
         state, ds = blob_state_and_data("softmax")
         cfg = SgdConfig(learning_rate=0.1, epochs=4, decay_epochs=[2], decay_factor=10.0)
-        _, trace = fit(state, ds, cfg)
+        _, trace = fit(state, stream(state, ds), cfg)
         rates = [row["learning_rate"] for row in trace]
         assert rates == pytest.approx([0.1, 0.01, 0.01, 0.01])
 
@@ -198,21 +204,21 @@ class TestFit:
             ds = gaussian_blobs(classes=2, dims=2, centers_radius=4.0, sigma=1.0,
                                 n_per_class=400, seed=0)
             state = make_train_state([2, 8, 4], kind, 2, seed=0)
-            _, trace = fit(state, ds, SgdConfig(epochs=5))
+            _, trace = fit(state, stream(state, ds), SgdConfig(epochs=5))
             losses = [row["mean_loss"] for row in trace]
             assert all(b < a for a, b in zip(losses, losses[1:])), (kind, losses)
 
     def test_quick_accuracy_on_blobs(self):
         for kind in ("softmax", "isomax", "isomaxplus"):
             state, ds = blob_state_and_data(kind, seed=4, classes=3, n=80)
-            _, trace = fit(state, ds, SgdConfig(epochs=10))
+            _, trace = fit(state, stream(state, ds), SgdConfig(epochs=10))
             assert trace[-1]["train_accuracy"] >= 0.9, kind
 
     def test_determinism_of_full_fit(self):
         finals = []
         for _ in range(2):
             state, ds = blob_state_and_data("isomaxplus", seed=21)
-            _, trace = fit(state, ds, SgdConfig(epochs=3))
+            _, trace = fit(state, stream(state, ds), SgdConfig(epochs=3))
             finals.append((state, trace))
         (s0, t0), (s1, t1) = finals
         assert t0 == t1
@@ -224,7 +230,7 @@ class TestFit:
     def test_distance_scale_grows_on_separable_data(self):
         # observational: the loss benefits from sharper distances
         state, ds = blob_state_and_data("isomaxplus", seed=5, classes=2, n=100)
-        fit(state, ds, SgdConfig(epochs=10))
+        fit(state, stream(state, ds), SgdConfig(epochs=10))
         assert abs(state.head.distance_scale) >= 1.0
 
     def test_invalid_decay_epochs(self):
@@ -236,7 +242,7 @@ class TestFit:
     def test_callbacks_see_every_epoch(self):
         state, ds = blob_state_and_data("softmax")
         seen = []
-        fit(state, ds, SgdConfig(epochs=3),
+        fit(state, stream(state, ds), SgdConfig(epochs=3),
             callbacks=[lambda s, record: seen.append(record["epoch"])])
         assert seen == [1, 2, 3]
 

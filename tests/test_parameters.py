@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from oodkit import heads
-from oodkit.data import gaussian_blobs
+from oodkit.data import BatchStream, gaussian_blobs
 from oodkit.experiment import load_checkpoint, save_checkpoint
 from oodkit.model import SgdConfig, fit, make_train_state, named_parameters, sgd_step
 
@@ -68,23 +68,25 @@ def assert_listing_is_the_attributes(state):
         assert listed_array is attribute
 
 
-def blobs():
-    return gaussian_blobs(classes=3, dims=2, centers_radius=4.0, sigma=0.5,
-                          n_per_class=20, seed=0)
+def blobs(state):
+    """Batches of 16, reshuffled by (seed, 2) per epoch."""
+    ds = gaussian_blobs(classes=3, dims=2, centers_radius=4.0, sigma=0.5,
+                        n_per_class=20, seed=0)
+    return BatchStream(ds, 16, (state.seed, 2))
 
 
 @pytest.mark.parametrize("kind", heads.HEAD_KINDS)
 def test_listing_after_make_train_state_and_fit(kind):
     state = make_train_state([2, 6, 4], kind, 3, seed=2)
     assert_listing_is_the_attributes(state)
-    fit(state, blobs(), SgdConfig(epochs=2, batch_size=16))
+    fit(state, blobs(state), SgdConfig(epochs=2, batch_size=16))
     assert_listing_is_the_attributes(state)
 
 
 @pytest.mark.parametrize("kind", heads.HEAD_KINDS)
 def test_listing_after_load_checkpoint(kind, tmp_path):
     state = make_train_state([2, 6, 4], kind, 3, seed=3)
-    fit(state, blobs(), SgdConfig(epochs=1, batch_size=16))
+    fit(state, blobs(state), SgdConfig(epochs=1, batch_size=16))
     save_checkpoint(state, tmp_path / "ckpt.bin")
     restored = load_checkpoint(tmp_path / "ckpt.bin")
     assert_listing_is_the_attributes(restored)
