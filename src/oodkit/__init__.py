@@ -23,9 +23,6 @@ from .heads import (
     forward_logits,
     head_outputs,
     inference_probabilities,
-    make_isomax_head,
-    make_isomaxplus_head,
-    make_softmax_head,
     predict,
     training_loss,
 )
@@ -51,6 +48,7 @@ from .model import (
     backbone_backward,
     backbone_forward,
     fit,
+    forward_trace,
     make_backbone,
     make_train_state,
     sgd_step,

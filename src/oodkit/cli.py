@@ -122,11 +122,8 @@ def _cmd_hist(args) -> int:
     state = experiment.load_checkpoint(
         args.checkpoint, expected_config_hash=cfg.config_hash())
     seed = state.seed
-    if not cfg.ood:
-        raise ContractViolation("hist needs at least one OOD spec in the config")
-    data = experiment.seed_data(cfg, seed)[1]
-    _, ood_ds = next(experiment.ood_sets(cfg, data))
-    tables = experiment.histogram_report(state, data.val, ood_ds, args.bins)
+    tables = experiment.histogram_report(
+        cfg, state, experiment.seed_data(cfg, seed)[1], args.bins)
     out = _out_dir(cfg)
     for name, rows in tables.items():
         path = out / f"hist_{name}_seed{seed}.csv"

@@ -186,6 +186,14 @@ def write_idx(ds: Dataset, images_path, labels_path):
         f.write(ds.targets.astype(np.uint8).tobytes())
 
 
+def _csv_field(path: str, line_no: int, column: str, text: str, convert):
+    try:
+        return convert(text)
+    except ValueError:
+        raise ContractViolation(f"{path}:{line_no}: field {column!r} must be "
+                                f"{convert.__name__}, got {text!r}") from None
+
+
 def load_csv(path) -> Dataset:
     """Read a labeled tabular dataset with header label,f0,f1,...
 
@@ -208,8 +216,9 @@ def load_csv(path) -> Dataset:
             if len(parts) != len(columns):
                 raise ContractViolation(
                     f"{path}:{line_no}: expected {len(columns)} fields, got {len(parts)}")
-            labels.append(int(parts[0]))
-            rows.append([float(v) for v in parts[1:]])
+            labels.append(_csv_field(path, line_no, columns[0], parts[0], int))
+            rows.append([_csv_field(path, line_no, column, text, float)
+                         for column, text in zip(columns[1:], parts[1:])])
     if not rows:
         raise ContractViolation(f"{path}: no data rows")
     return Dataset(np.array(rows), np.array(labels), f"csv({path})")

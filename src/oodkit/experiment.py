@@ -19,7 +19,7 @@ import os
 import struct
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 
 import numpy as np
@@ -67,6 +67,58 @@ def _check_keys(d, known, what: str):
         raise ContractViolation(f"unknown {what} keys: {sorted(unknown)}")
 
 
+# JSON type name -> check. As in JSON, a boolean is not a number.
+_JSON_TYPES = {
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "string": lambda v: isinstance(v, str),
+    "string or null": lambda v: v is None or isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "object": lambda v: isinstance(v, dict),
+}
+
+# Config key -> (JSON type, whether the value is a list of that type).
+# The sgd object's own keys are in _SGD_TYPES.
+_CONFIG_TYPES = {
+    "head": ("string", False),
+    "backbone_widths": ("int", True),
+    "in_distribution": ("object", False),
+    "ood": ("object", True),
+    "score_kinds": ("string", True),
+    "seeds": ("int", True),
+    "entropic_scale": ("number", False),
+    "val_fraction": ("number", False),
+    "standardize_inputs": ("boolean", False),
+    "out_dir": ("string or null", False),
+}
+_SGD_TYPES = {
+    "learning_rate": ("number", False),
+    "momentum": ("number", False),
+    "weight_decay": ("number", False),
+    "batch_size": ("int", False),
+    "epochs": ("int", False),
+    "decay_epochs": ("int", True),
+    "decay_factor": ("number", False),
+}
+
+
+def _check_types(d: dict, types: dict, prefix: str = ""):
+    """Raise a ContractViolation naming the first key of d whose value
+    does not have its JSON type in types."""
+    for key, value in d.items():
+        if key not in types:
+            continue
+        kind, is_list = types[key]
+        ok = _JSON_TYPES[kind]
+        if is_list:
+            if not (isinstance(value, (list, tuple)) and all(ok(v) for v in value)):
+                raise ContractViolation(
+                    f"{prefix}{key} must be a list of {kind}s, got {value!r}")
+        elif not ok(value):
+            article = "an" if kind[0] in "aeiou" else "a"
+            raise ContractViolation(f"{prefix}{key} must be {article} {kind}, got {value!r}")
+
+
 @dataclass
 class ExperimentConfig:
     head: str
@@ -87,12 +139,13 @@ class ExperimentConfig:
         self.backbone_widths = [int(w) for w in self.backbone_widths]
         if len(self.backbone_widths) < 1 or any(w < 1 for w in self.backbone_widths):
             raise ContractViolation("backbone_widths must be a non-empty list of positive ints")
-        self.score_kinds = [str(scores.ScoreKind(k).value) for k in self.score_kinds]
+        try:
+            self.score_kinds = [str(scores.ScoreKind(k).value) for k in self.score_kinds]
+        except ValueError as exc:
+            raise ContractViolation(f"score_kinds: {exc}") from None
         if "min_distance" in self.score_kinds and self.head not in DISTANCE_HEAD_KINDS:
             raise ContractViolation(
                 "the min_distance score requires a distance-based head (isomax or isomaxplus)")
-        if not isinstance(self.seeds, (list, tuple)):
-            raise ContractViolation(f"seeds must be a list of ints, got {self.seeds!r}")
         self.seeds = [int(s) for s in self.seeds]
         if len(self.seeds) < 1:
             raise ContractViolation("at least one seed is required")
@@ -108,10 +161,18 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """The config of a parsed JSON object; a missing key, an unknown
+        key or a value of the wrong JSON type raises a ContractViolation
+        that names the key."""
         _check_keys(d, cls.__dataclass_fields__, "config")
+        for f in fields(cls):
+            if f.name not in d and f.default is MISSING and f.default_factory is MISSING:
+                raise ContractViolation(f"config is missing required key {f.name!r}")
+        _check_types(d, _CONFIG_TYPES)
         d = dict(d)
         sgd = d.pop("sgd", {})
         _check_keys(sgd, SgdConfig.__dataclass_fields__, "sgd")
+        _check_types(sgd, _SGD_TYPES, "sgd.")
         return cls(sgd=SgdConfig(**sgd), **d)
 
     def to_dict(self) -> dict:
@@ -293,6 +354,12 @@ def ood_sets(cfg: ExperimentConfig, data: SeedData):
         yield _ood_name(spec, i), ood
 
 
+def _check_seed(state: TrainState, data: SeedData):
+    if data.seed != state.seed:
+        raise ContractViolation(
+            f"data of seed {data.seed} cannot evaluate a state of seed {state.seed}")
+
+
 def evaluate_checkpoint(cfg: ExperimentConfig, state: TrainState, data: SeedData):
     """Accuracy, detection metrics and score diagnostics for one trained
     state, on the SeedData of its seed.
@@ -302,9 +369,7 @@ def evaluate_checkpoint(cfg: ExperimentConfig, state: TrainState, data: SeedData
     per-seed report record, and one (ood name, score kind, in_scores,
     out_scores) tuple per OOD set and score kind, in config order.
     """
-    if data.seed != state.seed:
-        raise ContractViolation(
-            f"data of seed {data.seed} cannot evaluate a state of seed {state.seed}")
+    _check_seed(state, data)
     val = data.val
     val_out = heads.head_outputs(state.head, backbone_forward(state.backbone, val.inputs))
     accuracy = metrics.classification_accuracy(np.argmax(val_out.logits, axis=1), val.targets)
@@ -505,17 +570,22 @@ def compare_heads(cfgs, reports=None) -> ComparisonReport:
 # ---------------------------------------------------------------------------
 # histograms and score dumps
 
-def histogram_report(state: TrainState, in_data: data_mod.Dataset,
-                     ood_data: data_mod.Dataset, bins: int) -> dict:
+def histogram_report(cfg: ExperimentConfig, state: TrainState, data: SeedData,
+                     bins: int) -> dict:
     """Binned in/OOD counts of inference entropy and, for distance heads,
-    of the minimum feature-prototype distance.
+    of the minimum feature-prototype distance, on the validation split of
+    the SeedData of the state's seed against the first OOD set of cfg.
 
     Returns {quantity: rows} where each row is
     (bin_left, bin_right, count_in, count_out) over shared bin edges.
     """
     if bins < 2:
         raise ContractViolation("bins must be at least 2")
-    in_out = heads.head_outputs(state.head, backbone_forward(state.backbone, in_data.inputs))
+    if not cfg.ood:
+        raise ContractViolation("histograms need at least one OOD spec in the config")
+    _check_seed(state, data)
+    _, ood_data = next(ood_sets(cfg, data))
+    in_out = heads.head_outputs(state.head, backbone_forward(state.backbone, data.val.inputs))
     ood_out = heads.head_outputs(state.head, backbone_forward(state.backbone, ood_data.inputs))
     quantities = {"entropy": (in_out.entropy, ood_out.entropy)}
     if in_out.distances is not None:

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import heads, model
 from .heads import HEAD_KINDS
+from .numerics import stable_softmax_rows
 
 DEFAULT_STEP = 1e-5
 
@@ -68,7 +69,7 @@ def _near_probability_floor(head, features, targets) -> bool:
     # The loss is flat below the probability floor. Deep inside either
     # region finite differences agree with the analytic (sub)gradient;
     # only a narrow band around the floor itself is ambiguous.
-    probs = heads.training_probabilities(head, features)
+    probs = stable_softmax_rows(heads.forward_logits(head, features), head.training_scale)
     at_target = probs[np.arange(len(targets)), targets]
     return bool(np.any((at_target > 1e-33) & (at_target < 1e-27)))
 
@@ -155,7 +156,8 @@ def check_backbone_instance(rng: np.random.Generator,
         head = _random_head(kind, c, widths[-1], rng)
         inputs = rng.standard_normal((n, widths[0]))
         targets = rng.integers(0, c, size=n)
-        features, _, preacts = model._forward_trace(backbone, inputs)
+        trace = model.forward_trace(backbone, inputs)
+        features, _, preacts = trace
         if any(np.abs(z).min() < 1e-4 for z in preacts[:-1] if z.size):
             continue
         if not _smooth_at_step(kind, head, features):
@@ -167,7 +169,7 @@ def check_backbone_instance(rng: np.random.Generator,
         raise RuntimeError("could not draw a differentiable backbone instance")
 
     hg = heads.backward(head, features, targets)
-    bg = model.backbone_backward(backbone, inputs, hg.d_features)
+    bg = model.backbone_backward(backbone, trace, hg.d_features)
     state = model.TrainState(backbone=backbone, head=head, velocities={})
     return _check_in_place(
         [(name, p) for name, p in model.named_parameters(state) if name.startswith("backbone.")],

@@ -59,6 +59,11 @@ def _one_value(name: str, value) -> np.ndarray:
 # Each head declares its arrays once. `parameters` names the trainable
 # attributes, each an ndarray that training updates in place;
 # `checkpointed` names what a checkpoint stores, in file order.
+# Each class also holds what differs between kinds: `initial` (a seeded
+# fresh head), `forward` (logits, and the distances they came from or
+# None), `gradients` (HeadGradients of the mean loss) and
+# `training_scale`. They take checked arrays; the module-level functions
+# below are the checked entry points.
 
 
 @dataclass
@@ -71,6 +76,8 @@ class SoftMaxHead:
     kind = "softmax"
     parameters = ("weights", "bias")
     checkpointed = ("weights", "bias")
+    # Plain cross-entropy: no entropic scale sharpens the training softmax.
+    training_scale = 1.0
 
     def __post_init__(self):
         _check_rows("head weights", self.weights)
@@ -87,17 +94,28 @@ class SoftMaxHead:
     def dim(self) -> int:
         return self.weights.shape[1]
 
+    @classmethod
+    def initial(cls, classes: int, dim: int, rng: np.random.Generator,
+                entropic_scale: float = DEFAULT_ENTROPIC_SCALE) -> SoftMaxHead:
+        """Seeded affine head: weights ~ N(0, 1/dim), zero bias. The
+        entropic scale does not apply to this head."""
+        weights = rng.standard_normal((classes, dim)) / np.sqrt(dim)
+        return cls(weights=weights, bias=np.zeros(classes))
 
-@dataclass
-class IsoMaxHead:
-    """Prototype head: logits are negative raw feature-prototype distances."""
+    def forward(self, features: np.ndarray):
+        return features @ self.weights.T + self.bias, None
 
-    prototypes: np.ndarray  # (classes, dim)
-    entropic_scale: float = DEFAULT_ENTROPIC_SCALE
+    def gradients(self, features: np.ndarray, targets: np.ndarray) -> HeadGradients:
+        g = _loss_grad_wrt_logits(self, self.forward(features)[0], targets)
+        return HeadGradients(
+            d_features=g @ self.weights,
+            params={"weights": g.T @ features, "bias": g.sum(axis=0)},
+        )
 
-    kind = "isomax"
-    parameters = ("prototypes",)
-    checkpointed = ("prototypes", "entropic_scale")
+
+class _PrototypeHead:
+    """What the two distance heads share: one prototype row per class and
+    an entropic scale that sharpens the training softmax."""
 
     def __post_init__(self):
         _check_rows("head prototypes", self.prototypes)
@@ -111,9 +129,44 @@ class IsoMaxHead:
     def dim(self) -> int:
         return self.prototypes.shape[1]
 
+    @property
+    def training_scale(self) -> float:
+        return self.entropic_scale
+
 
 @dataclass
-class IsoMaxPlusHead:
+class IsoMaxHead(_PrototypeHead):
+    """Prototype head: logits are negative raw feature-prototype distances."""
+
+    prototypes: np.ndarray  # (classes, dim)
+    entropic_scale: float = DEFAULT_ENTROPIC_SCALE
+
+    kind = "isomax"
+    parameters = ("prototypes",)
+    checkpointed = ("prototypes", "entropic_scale")
+
+    @classmethod
+    def initial(cls, classes: int, dim: int, rng: np.random.Generator,
+                entropic_scale: float = DEFAULT_ENTROPIC_SCALE) -> IsoMaxHead:
+        """Prototypes start at the zero vector; no randomness is consumed."""
+        return cls(prototypes=np.zeros((classes, dim)), entropic_scale=entropic_scale)
+
+    def forward(self, features: np.ndarray):
+        distances = pairwise_euclidean(features, self.prototypes)
+        return -distances, distances
+
+    def gradients(self, features: np.ndarray, targets: np.ndarray) -> HeadGradients:
+        logits, distances = self.forward(features)
+        g = _loss_grad_wrt_logits(self, logits, targets)
+        # dL/dD = -g; coefficient per pair on (f_i - p_j)
+        coeff = -g / np.maximum(distances, DISTANCE_GRAD_EPS)
+        d_features = coeff.sum(axis=1)[:, np.newaxis] * features - coeff @ self.prototypes
+        d_prototypes = coeff.sum(axis=0)[:, np.newaxis] * self.prototypes - coeff.T @ features
+        return HeadGradients(d_features=d_features, params={"prototypes": d_prototypes})
+
+
+@dataclass
+class IsoMaxPlusHead(_PrototypeHead):
     """Normalized prototype head with a learnable scalar distance scale.
 
     distance_scale is stored as a one-element float64 array, so that,
@@ -131,17 +184,37 @@ class IsoMaxPlusHead:
     checkpointed = ("prototypes", "entropic_scale", "distance_scale")
 
     def __post_init__(self):
-        _check_rows("head prototypes", self.prototypes)
+        super().__post_init__()
         self.distance_scale = _one_value("distance_scale", self.distance_scale)
-        self.entropic_scale = float(_one_value("entropic_scale", self.entropic_scale)[0])
 
-    @property
-    def classes(self) -> int:
-        return self.prototypes.shape[0]
+    @classmethod
+    def initial(cls, classes: int, dim: int, rng: np.random.Generator,
+                entropic_scale: float = DEFAULT_ENTROPIC_SCALE) -> IsoMaxPlusHead:
+        """Prototypes ~ N(0, 1) drawn row-major, i.e. in class-index order."""
+        return cls(prototypes=rng.standard_normal((classes, dim)), distance_scale=1.0,
+                   entropic_scale=entropic_scale)
 
-    @property
-    def dim(self) -> int:
-        return self.prototypes.shape[1]
+    def forward(self, features: np.ndarray):
+        distances = pairwise_euclidean(row_normalize(features), row_normalize(self.prototypes))
+        return -abs(self.distance_scale[0]) * distances, distances
+
+    def gradients(self, features: np.ndarray, targets: np.ndarray) -> HeadGradients:
+        fhat = row_normalize(features)
+        phat = row_normalize(self.prototypes)
+        distances = pairwise_euclidean(fhat, phat)
+        s = abs(self.distance_scale[0])
+        g = _loss_grad_wrt_logits(self, -s * distances, targets)
+        # dL/dD = -s g; chain onto the unit vectors, then through both
+        # normalizations, and finally into the scalar scale.
+        coeff = -s * g / np.maximum(distances, DISTANCE_GRAD_EPS)
+        d_fhat = coeff.sum(axis=1)[:, np.newaxis] * fhat - coeff @ phat
+        d_phat = coeff.sum(axis=0)[:, np.newaxis] * phat - coeff.T @ fhat
+        d_scale_abs = -(g * distances).sum()
+        return HeadGradients(
+            d_features=_normalize_backward(features, fhat, d_fhat),
+            params={"prototypes": _normalize_backward(self.prototypes, phat, d_phat),
+                    "distance_scale": np.sign(self.distance_scale) * d_scale_abs},
+        )
 
 
 ClassifierHead = Union[SoftMaxHead, IsoMaxHead, IsoMaxPlusHead]
@@ -177,26 +250,6 @@ class HeadGradients:
     params: dict
 
 
-def make_softmax_head(classes: int, dim: int, rng: np.random.Generator) -> SoftMaxHead:
-    """Seeded affine head: weights ~ N(0, 1/dim), zero bias."""
-    weights = rng.standard_normal((classes, dim)) / np.sqrt(dim)
-    return SoftMaxHead(weights=weights, bias=np.zeros(classes))
-
-
-def make_isomax_head(classes: int, dim: int,
-                     entropic_scale: float = DEFAULT_ENTROPIC_SCALE) -> IsoMaxHead:
-    """Prototypes start at the zero vector; no randomness is consumed."""
-    return IsoMaxHead(prototypes=np.zeros((classes, dim)), entropic_scale=entropic_scale)
-
-
-def make_isomaxplus_head(classes: int, dim: int, rng: np.random.Generator,
-                         entropic_scale: float = DEFAULT_ENTROPIC_SCALE) -> IsoMaxPlusHead:
-    """Prototypes ~ N(0, 1) drawn row-major, i.e. in class-index order."""
-    prototypes = rng.standard_normal((classes, dim))
-    return IsoMaxPlusHead(prototypes=prototypes, distance_scale=1.0,
-                          entropic_scale=entropic_scale)
-
-
 def _check_features(head: ClassifierHead, features) -> np.ndarray:
     features = as_matrix(features, "features")
     if features.shape[1] != head.dim:
@@ -224,54 +277,28 @@ def feature_prototype_distances(head: ClassifierHead, features) -> np.ndarray:
     isomax uses raw vectors; isomaxplus normalizes both sides. The distance
     scale never appears here, only in the logits.
     """
-    features = _check_features(head, features)
-    if isinstance(head, IsoMaxHead):
-        return pairwise_euclidean(features, head.prototypes)
-    if isinstance(head, IsoMaxPlusHead):
-        return pairwise_euclidean(row_normalize(features), row_normalize(head.prototypes))
-    raise ContractViolation(f"head kind {head.kind!r} has no feature-prototype distances")
-
-
-def _logits_and_distances(head: ClassifierHead, features):
-    """Logits plus the distances they came from (None for softmax)."""
-    features = _check_features(head, features)
-    if isinstance(head, SoftMaxHead):
-        return features @ head.weights.T + head.bias, None
-    distances = feature_prototype_distances(head, features)
-    if isinstance(head, IsoMaxPlusHead):
-        return -abs(head.distance_scale[0]) * distances, distances
-    return -distances, distances
+    distances = head.forward(_check_features(head, features))[1]
+    if distances is None:
+        raise ContractViolation(f"head kind {head.kind!r} has no feature-prototype distances")
+    return distances
 
 
 def forward_logits(head: ClassifierHead, features) -> np.ndarray:
     """Per-class logits, one row per feature row."""
-    return _logits_and_distances(head, features)[0]
-
-
-def _training_scale(head: ClassifierHead) -> float:
-    # The entropic scale sharpens the training softmax only for the
-    # distance heads; the affine head trains with plain cross-entropy.
-    if isinstance(head, SoftMaxHead):
-        return 1.0
-    return float(head.entropic_scale)
-
-
-def training_probabilities(head: ClassifierHead, features) -> np.ndarray:
-    """Softmax of the entropic-scaled logits, as used inside the loss."""
-    return stable_softmax_rows(forward_logits(head, features), _training_scale(head))
+    return head.forward(_check_features(head, features))[0]
 
 
 def training_loss(head: ClassifierHead, features, targets) -> float:
     """Mean negative log probability of the target class.
 
-    The probability is formed first (softmax of the scaled logits), then
-    floored at PROBABILITY_FLOOR, then passed through the logarithm: the
-    two steps stay separate and sequential rather than fused into a
-    log-softmax.
+    The probability is formed first (softmax of the logits at the head's
+    training_scale), then floored at PROBABILITY_FLOOR, then passed
+    through the logarithm: the two steps stay separate and sequential
+    rather than fused into a log-softmax.
     """
     features = _check_features(head, features)
     targets = _check_targets(head, targets, len(features))
-    probs = training_probabilities(head, features)
+    probs = stable_softmax_rows(head.forward(features)[0], head.training_scale)
     at_target = probs[np.arange(len(targets)), targets]
     return float(-np.log(np.maximum(at_target, PROBABILITY_FLOOR)).mean())
 
@@ -308,7 +335,7 @@ class HeadOutputs:
 def head_outputs(head: ClassifierHead, features) -> HeadOutputs:
     """Distances, logits, inference probabilities and entropy, each computed
     once and bit-identical to forward_logits and inference_probabilities."""
-    logits, distances = _logits_and_distances(head, features)
+    logits, distances = head.forward(_check_features(head, features))
     probabilities = stable_softmax_rows(logits, 1.0)
     return HeadOutputs(distances=distances, logits=logits, probabilities=probabilities,
                        entropy=shannon_entropy_rows(probabilities))
@@ -318,7 +345,7 @@ def _loss_grad_wrt_logits(head: ClassifierHead, logits: np.ndarray,
                           targets: np.ndarray) -> np.ndarray:
     """d(mean loss)/d(logits). Rows whose target probability sits below the
     floor contribute nothing, matching the flat region of the clamped loss."""
-    scale = _training_scale(head)
+    scale = head.training_scale
     n = len(targets)
     probs = stable_softmax_rows(logits, scale)
     grad = probs.copy()
@@ -354,42 +381,4 @@ def backward(head: ClassifierHead, features, targets) -> HeadGradients:
     """
     features = _check_features(head, features)
     targets = _check_targets(head, targets, len(features))
-
-    if isinstance(head, SoftMaxHead):
-        logits = features @ head.weights.T + head.bias
-        g = _loss_grad_wrt_logits(head, logits, targets)
-        return HeadGradients(
-            d_features=g @ head.weights,
-            params={"weights": g.T @ features, "bias": g.sum(axis=0)},
-        )
-
-    if isinstance(head, IsoMaxHead):
-        distances = pairwise_euclidean(features, head.prototypes)
-        g = _loss_grad_wrt_logits(head, -distances, targets)
-        # dL/dD = -g; coefficient per pair on (f_i - p_j)
-        coeff = -g / np.maximum(distances, DISTANCE_GRAD_EPS)
-        d_features = coeff.sum(axis=1)[:, np.newaxis] * features - coeff @ head.prototypes
-        d_prototypes = (
-            coeff.sum(axis=0)[:, np.newaxis] * head.prototypes - coeff.T @ features
-        )
-        return HeadGradients(d_features=d_features, params={"prototypes": d_prototypes})
-
-    if isinstance(head, IsoMaxPlusHead):
-        fhat = row_normalize(features)
-        phat = row_normalize(head.prototypes)
-        distances = pairwise_euclidean(fhat, phat)
-        s = abs(head.distance_scale[0])
-        g = _loss_grad_wrt_logits(head, -s * distances, targets)
-        # dL/dD = -s g; chain onto the unit vectors, then through both
-        # normalizations, and finally into the scalar scale.
-        coeff = -s * g / np.maximum(distances, DISTANCE_GRAD_EPS)
-        d_fhat = coeff.sum(axis=1)[:, np.newaxis] * fhat - coeff @ phat
-        d_phat = coeff.sum(axis=0)[:, np.newaxis] * phat - coeff.T @ fhat
-        d_scale_abs = -(g * distances).sum()
-        return HeadGradients(
-            d_features=_normalize_backward(features, fhat, d_fhat),
-            params={"prototypes": _normalize_backward(head.prototypes, phat, d_phat),
-                    "distance_scale": np.sign(head.distance_scale) * d_scale_abs},
-        )
-
-    raise ContractViolation(f"unknown head kind {head.kind!r}")
+    return head.gradients(features, targets)

@@ -121,25 +121,21 @@ def make_train_state(widths, head_kind: str, classes: int, seed: int,
     widths = [int(w) for w in widths]
     rng = np.random.default_rng([seed, INIT_STREAM])
     backbone = make_backbone(widths, rng)
-    dim = widths[-1]
-    if head_kind == "softmax":
-        head = heads.make_softmax_head(classes, dim, rng)
-    elif head_kind == "isomax":
-        head = heads.make_isomax_head(classes, dim, entropic_scale)
-    elif head_kind == "isomaxplus":
-        head = heads.make_isomaxplus_head(classes, dim, rng, entropic_scale)
-    else:
+    if head_kind not in heads.HEAD_CLASSES:
         raise ContractViolation(f"unknown head kind {head_kind!r}")
+    head = heads.HEAD_CLASSES[head_kind].initial(classes, widths[-1], rng, entropic_scale)
     return TrainState(backbone=backbone, head=head, velocities={}, seed=seed)
 
 
 def backbone_forward(b: MlpBackbone, inputs) -> np.ndarray:
     """Features for a batch of inputs; identity when the stack is empty."""
-    return _forward_trace(b, inputs)[0]
+    return forward_trace(b, inputs)[0]
 
 
-def _forward_trace(b: MlpBackbone, inputs):
-    """Forward pass keeping each layer's input and pre-activation for backward."""
+def forward_trace(b: MlpBackbone, inputs):
+    """Forward pass keeping what backbone_backward needs: returns
+    (features, layer_inputs, preacts), each layer's input and
+    pre-activation in layer order."""
     h = as_matrix(inputs, "inputs")
     if b.weights and h.shape[1] != b.weights[0].shape[1]:
         raise ContractViolation(
@@ -162,13 +158,14 @@ class BackboneGradients:
     d_biases: list
 
 
-def backbone_backward(b: MlpBackbone, inputs, d_features) -> BackboneGradients:
-    """Exact parameter gradients by the chain rule.
+def backbone_backward(b: MlpBackbone, trace, d_features) -> BackboneGradients:
+    """Exact parameter gradients by the chain rule, from the forward_trace
+    of the same backbone on the batch.
 
     The rectifier uses subgradient 0 at exactly zero input. Inputs are
     data, not parameters, so nothing flows upstream of layer 0.
     """
-    _, layer_inputs, preacts = _forward_trace(b, inputs)
+    _, layer_inputs, preacts = trace
     d_features = np.asarray(d_features, dtype=np.float64)
     d_weights = [None] * len(b.weights)
     d_biases = [None] * len(b.weights)
@@ -230,7 +227,8 @@ def sgd_step(state: TrainState, batch: LabeledBatch, cfg: SgdConfig,
     forward features or the loss stop being finite.
     """
     lr = cfg.learning_rate if lr is None else lr
-    features = _forward_trace(state.backbone, batch.features)[0]
+    trace = forward_trace(state.backbone, batch.features)
+    features = trace[0]
     try:
         loss = heads.training_loss(state.head, features, batch.targets)
     except ContractViolation:
@@ -248,7 +246,7 @@ def sgd_step(state: TrainState, batch: LabeledBatch, cfg: SgdConfig,
             epoch=epoch, batch_index=batch_index,
         )
     hg = heads.backward(state.head, features, batch.targets)
-    grads = named_gradients(backbone_backward(state.backbone, batch.features, hg.d_features), hg)
+    grads = named_gradients(backbone_backward(state.backbone, trace, hg.d_features), hg)
     for name, param in named_parameters(state):
         velocity = state.velocities.get(name)
         if velocity is None:

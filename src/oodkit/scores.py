@@ -44,15 +44,11 @@ def min_distance_score_from_distances(distances: np.ndarray) -> np.ndarray:
 def min_distance_score(head: ClassifierHead, features) -> np.ndarray:
     """Negative distance to the nearest prototype.
 
-    isomaxplus measures normalized features against normalized prototypes,
-    isomax raw vectors against raw prototypes; the
-    distance scale never enters, so heads differing only in it produce
-    bit-identical scores. Ranks examples exactly like the maximum logit.
+    The distances are the head's own (see feature_prototype_distances),
+    which rejects a head without prototypes. The distance scale never
+    enters, so heads differing only in it produce bit-identical scores.
+    Ranks examples exactly like the maximum logit.
     """
-    if head.kind not in ("isomax", "isomaxplus"):
-        raise ContractViolation(
-            f"minimum distance score requires a distance-based head, got {head.kind!r}"
-        )
     return min_distance_score_from_distances(feature_prototype_distances(head, features))
 
 
@@ -63,7 +59,7 @@ def compute_score(kind: ScoreKind | str, outputs: HeadOutputs) -> np.ndarray:
     if kind is ScoreKind.MIN_DISTANCE:
         if outputs.distances is None:
             raise ContractViolation(
-                "minimum distance score requires a distance-based head, got softmax outputs")
+                "minimum distance score requires head outputs with distances")
         return min_distance_score_from_distances(outputs.distances)
     if kind is ScoreKind.MAX_PROBABILITY:
         return max_probability_score(outputs.probabilities)

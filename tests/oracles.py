@@ -7,7 +7,23 @@ candidate with direct comparisons.
 
 import numpy as np
 
-from oodkit import heads
+from oodkit import heads, model
+from oodkit.heads import (
+    DISTANCE_GRAD_EPS,
+    PROBABILITY_FLOOR,
+    HeadGradients,
+    IsoMaxHead,
+    IsoMaxPlusHead,
+    SoftMaxHead,
+)
+from oodkit.numerics import (
+    NORM_EPS,
+    ContractViolation,
+    as_matrix,
+    pairwise_euclidean,
+    row_normalize,
+    stable_softmax_rows,
+)
 
 
 def auroc_oracle(in_scores, out_scores):
@@ -80,3 +96,169 @@ def fused_log_softmax_loss(head, features, targets):
     z = z - z.max(axis=1, keepdims=True)
     log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     return float(-log_probs[np.arange(len(targets)), np.asarray(targets)].mean())
+
+
+# ---------------------------------------------------------------------------
+# The training step as it was written before each head kind became a class:
+# one isinstance branch per kind, and a backbone backward that runs the
+# forward pass again. The package's step must match it bit for bit.
+
+
+def _check_features_oracle(head, features):
+    features = as_matrix(features, "features")
+    if features.shape[1] != head.dim:
+        raise ContractViolation(
+            f"feature dimension {features.shape[1]} does not match head dimension {head.dim}"
+        )
+    return features
+
+
+def _check_targets_oracle(head, targets, n):
+    targets = np.asarray(targets, dtype=np.int64)
+    if targets.ndim != 1 or len(targets) != n:
+        raise ContractViolation("targets must be a 1-D vector matching the feature rows")
+    if np.any(targets < 0) or np.any(targets >= head.classes):
+        raise ContractViolation(
+            f"targets must lie in [0, {head.classes}), got range "
+            f"[{targets.min()}, {targets.max()}]"
+        )
+    return targets
+
+
+def _training_scale_oracle(head):
+    if isinstance(head, SoftMaxHead):
+        return 1.0
+    return float(head.entropic_scale)
+
+
+def _logits_oracle(head, features):
+    features = _check_features_oracle(head, features)
+    if isinstance(head, SoftMaxHead):
+        return features @ head.weights.T + head.bias
+    if isinstance(head, IsoMaxHead):
+        return -pairwise_euclidean(features, head.prototypes)
+    distances = pairwise_euclidean(row_normalize(features), row_normalize(head.prototypes))
+    return -abs(head.distance_scale[0]) * distances
+
+
+def training_loss_oracle(head, features, targets):
+    features = _check_features_oracle(head, features)
+    targets = _check_targets_oracle(head, targets, len(features))
+    probs = stable_softmax_rows(_logits_oracle(head, features), _training_scale_oracle(head))
+    at_target = probs[np.arange(len(targets)), targets]
+    return float(-np.log(np.maximum(at_target, PROBABILITY_FLOOR)).mean())
+
+
+def _loss_grad_wrt_logits_oracle(head, logits, targets):
+    scale = _training_scale_oracle(head)
+    n = len(targets)
+    probs = stable_softmax_rows(logits, scale)
+    grad = probs.copy()
+    grad[np.arange(n), targets] -= 1.0
+    grad *= scale / n
+    clamped = probs[np.arange(n), targets] < PROBABILITY_FLOOR
+    if np.any(clamped):
+        grad[clamped] = 0.0
+    return grad
+
+
+def _normalize_backward_oracle(raw, unit, d_unit):
+    norms = np.sqrt(np.einsum("ij,ij->i", raw, raw))
+    inner = np.einsum("ij,ij->i", unit, d_unit)
+    out = (d_unit - inner[:, np.newaxis] * unit) / np.maximum(norms, NORM_EPS)[:, np.newaxis]
+    out[norms < NORM_EPS] = 0.0
+    return out
+
+
+def head_backward_oracle(head, features, targets):
+    """heads.backward with one isinstance branch per head kind."""
+    features = _check_features_oracle(head, features)
+    targets = _check_targets_oracle(head, targets, len(features))
+
+    if isinstance(head, SoftMaxHead):
+        logits = features @ head.weights.T + head.bias
+        g = _loss_grad_wrt_logits_oracle(head, logits, targets)
+        return HeadGradients(
+            d_features=g @ head.weights,
+            params={"weights": g.T @ features, "bias": g.sum(axis=0)},
+        )
+
+    if isinstance(head, IsoMaxHead):
+        distances = pairwise_euclidean(features, head.prototypes)
+        g = _loss_grad_wrt_logits_oracle(head, -distances, targets)
+        # dL/dD = -g; coefficient per pair on (f_i - p_j)
+        coeff = -g / np.maximum(distances, DISTANCE_GRAD_EPS)
+        d_features = coeff.sum(axis=1)[:, np.newaxis] * features - coeff @ head.prototypes
+        d_prototypes = (
+            coeff.sum(axis=0)[:, np.newaxis] * head.prototypes - coeff.T @ features
+        )
+        return HeadGradients(d_features=d_features, params={"prototypes": d_prototypes})
+
+    if isinstance(head, IsoMaxPlusHead):
+        fhat = row_normalize(features)
+        phat = row_normalize(head.prototypes)
+        distances = pairwise_euclidean(fhat, phat)
+        s = abs(head.distance_scale[0])
+        g = _loss_grad_wrt_logits_oracle(head, -s * distances, targets)
+        # dL/dD = -s g; chain onto the unit vectors, then through both
+        # normalizations, and finally into the scalar scale.
+        coeff = -s * g / np.maximum(distances, DISTANCE_GRAD_EPS)
+        d_fhat = coeff.sum(axis=1)[:, np.newaxis] * fhat - coeff @ phat
+        d_phat = coeff.sum(axis=0)[:, np.newaxis] * phat - coeff.T @ fhat
+        d_scale_abs = -(g * distances).sum()
+        return HeadGradients(
+            d_features=_normalize_backward_oracle(features, fhat, d_fhat),
+            params={"prototypes": _normalize_backward_oracle(head.prototypes, phat, d_phat),
+                    "distance_scale": np.sign(head.distance_scale) * d_scale_abs},
+        )
+
+    raise ContractViolation(f"unknown head kind {head.kind!r}")
+
+
+def _backbone_trace_oracle(b, inputs):
+    h = as_matrix(inputs, "inputs")
+    layer_inputs, preacts = [], []
+    last = len(b.weights) - 1
+    for i, (w, bias) in enumerate(zip(b.weights, b.biases)):
+        layer_inputs.append(h)
+        z = h @ w.T + bias
+        preacts.append(z)
+        h = z if i == last else np.maximum(z, 0.0)
+    return h, layer_inputs, preacts
+
+
+def _backbone_backward_oracle(b, inputs, d_features):
+    """The backbone backward that runs the forward pass again."""
+    _, layer_inputs, preacts = _backbone_trace_oracle(b, inputs)
+    d_features = np.asarray(d_features, dtype=np.float64)
+    d_weights = [None] * len(b.weights)
+    d_biases = [None] * len(b.weights)
+    delta = d_features
+    for i in range(len(b.weights) - 1, -1, -1):
+        if i != len(b.weights) - 1:
+            delta = delta * (preacts[i] > 0.0)
+        d_weights[i] = delta.T @ layer_inputs[i]
+        d_biases[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = delta @ b.weights[i]
+    return model.BackboneGradients(d_weights=d_weights, d_biases=d_biases)
+
+
+def sgd_step_oracle(state, batch, cfg, lr=None):
+    """One optimizer step with two backbone forward passes; returns the
+    pre-update loss and updates state in place like model.sgd_step."""
+    lr = cfg.learning_rate if lr is None else lr
+    features = _backbone_trace_oracle(state.backbone, batch.features)[0]
+    loss = training_loss_oracle(state.head, features, batch.targets)
+    hg = head_backward_oracle(state.head, features, batch.targets)
+    bg = _backbone_backward_oracle(state.backbone, batch.features, hg.d_features)
+    grads = model.named_gradients(bg, hg)
+    for name, param in model.named_parameters(state):
+        velocity = state.velocities.get(name)
+        if velocity is None:
+            velocity = np.zeros_like(param)
+        g = grads[name] + cfg.weight_decay * param
+        v = cfg.momentum * velocity + g
+        param -= lr * (g + cfg.momentum * v)
+        state.velocities[name] = v
+    return loss

@@ -85,8 +85,31 @@ class TestMalformedConfig:
         ("train", update("sgd", nesterov=True), "unknown sgd keys: ['nesterov']"),
         ("train", lambda cfg: {**cfg, "seeds": None}, "seeds must be a list of ints, got None"),
         ("eval", drop("ood", "inner_radius"), "ring spec is missing 'inner_radius'"),
+        ("train", lambda cfg: {**cfg, "in_distribution": [1]},
+         "in_distribution must be an object, got [1]"),
+        ("train", update("sgd", epochs="two"), "sgd.epochs must be an int, got 'two'"),
+        ("train", update("sgd", learning_rate="x"),
+         "sgd.learning_rate must be a number, got 'x'"),
+        ("train", lambda cfg: {**cfg, "ood": cfg["ood"][0]},
+         "ood must be a list of objects, got {'name': 'ring', 'kind': 'ring', "
+         "'inner_radius': 8.0, 'outer_radius': 12.0, 'n': 60}"),
+        ("train", lambda cfg: {**cfg, "ood": [1]}, "ood must be a list of objects, got [1]"),
+        ("train", lambda cfg: {**cfg, "seeds": ["a"]}, "seeds must be a list of ints, got ['a']"),
+        ("train", lambda cfg: {**cfg, "backbone_widths": None},
+         "backbone_widths must be a list of ints, got None"),
+        ("train", lambda cfg: {**cfg, "entropic_scale": None},
+         "entropic_scale must be a number, got None"),
+        ("train", lambda cfg: {**cfg, "val_fraction": "a"},
+         "val_fraction must be a number, got 'a'"),
+        ("train", lambda cfg: {**cfg, "score_kinds": ["bogus"]},
+         "score_kinds: 'bogus' is not a valid ScoreKind"),
+        ("train", lambda cfg: {k: v for k, v in cfg.items() if k != "head"},
+         "config is missing required key 'head'"),
     ], ids=["missing_sigma", "classes_four", "list_config", "unknown_sgd_key",
-            "null_seeds", "ring_without_inner_radius"])
+            "null_seeds", "ring_without_inner_radius", "in_distribution_list",
+            "epochs_string", "learning_rate_string", "ood_object", "ood_entry_int",
+            "seeds_string", "null_backbone_widths", "null_entropic_scale",
+            "val_fraction_string", "unknown_score_kind", "missing_head"])
     def test_exits_1_with_one_line(self, config_path, tmp_path, capsys, command, edit,
                                    message):
         path = config_path()
@@ -99,6 +122,19 @@ class TestMalformedConfig:
         capsys.readouterr()
         assert cli_main([command, *argv]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+    @pytest.mark.parametrize("row, message", [
+        ("x,0.5,1.5", "field 'label' must be int, got 'x'"),
+        ("0,abc,1.5", "field 'f0' must be float, got 'abc'"),
+    ], ids=["label_x", "value_abc"])
+    def test_unparsable_csv_exits_1_with_one_line(self, config_path, tmp_path, capsys,
+                                                  row, message):
+        data = tmp_path / "data.csv"
+        data.write_text(f"label,f0,f1\n{row}\n1,0.5,1.5\n")
+        path = config_path(in_distribution={"kind": "csv", "path": str(data)})
+        assert cli_main(["train", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {data}:2: {message}\n"
 
 
 class TestPublicApiOnly:

@@ -232,6 +232,17 @@ class TestCsv:
         with pytest.raises(ContractViolation, match="fields"):
             load_csv(path)
 
+    @pytest.mark.parametrize("row, message", [
+        ("x,1.0,2.0", "field 'label' must be int, got 'x'"),
+        ("1,1.0,abc", "field 'f1' must be float, got 'abc'"),
+    ], ids=["label_x", "value_abc"])
+    def test_unparsable_field_names_path_line_and_field(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"label,f0,f1\n0,0.5,1.5\n{row}\n")
+        with pytest.raises(ContractViolation) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}:3: {message}"
+
 
 class TestDatasetFromSpec:
     def test_blobs_spec(self):

@@ -11,7 +11,7 @@ import pytest
 
 from oodkit import data as data_mod
 from oodkit import experiment, heads, numerics
-from oodkit.data import gaussian_blobs, ood_ring
+from oodkit.data import gaussian_blobs
 from oodkit.experiment import (
     CheckpointError,
     ExperimentConfig,
@@ -302,12 +302,23 @@ class TestCompareHeads:
             compare_heads(cfgs, reports)
 
 
+def ring_config(n):
+    """tiny_config with one ring OOD set of n rows."""
+    return tiny_config(ood=[{"name": "ring", "kind": "ring", "inner_radius": 8.0,
+                             "outer_radius": 12.0, "n": n}])
+
+
+def unscaled(state, val):
+    """SeedData of the state's seed with val as its validation split."""
+    return experiment.SeedData(state.seed, val, None,
+                               experiment.InputScaler.identity(val.inputs.shape[1]))
+
+
 class TestHistogramReport:
     def test_untrained_isomax_single_occupied_entropy_bin(self):
         state = make_train_state([2], "isomax", 3, seed=0)
         in_data = gaussian_blobs(3, 2, 4.0, 0.5, 10, seed=1)
-        ood = ood_ring(8.0, 12.0, 20, seed=2)
-        tables = histogram_report(state, in_data, ood, bins=10)
+        tables = histogram_report(ring_config(20), state, unscaled(state, in_data), bins=10)
         rows = tables["entropy"]
         occupied = [r for r in rows if r[2] + r[3] > 0]
         assert len(occupied) == 1  # every entropy equals ln(3) at init
@@ -317,8 +328,7 @@ class TestHistogramReport:
 
     def test_counts_sum_to_dataset_sizes(self):
         state, _, data = train_single_seed(tiny_config(seeds=[1]), 1)
-        ood = ood_ring(8.0, 12.0, 33, seed=5)
-        tables = histogram_report(state, data.val, ood, bins=12)
+        tables = histogram_report(ring_config(33), state, data, bins=12)
         for rows in tables.values():
             assert sum(r[2] for r in rows) == len(data.val)
             assert sum(r[3] for r in rows) == 33
@@ -326,8 +336,7 @@ class TestHistogramReport:
     def test_min_distance_table_only_for_distance_heads(self):
         state = make_train_state([2], "softmax", 3, seed=0)
         in_data = gaussian_blobs(3, 2, 4.0, 0.5, 10, seed=1)
-        ood = ood_ring(8.0, 12.0, 20, seed=2)
-        tables = histogram_report(state, in_data, ood, bins=5)
+        tables = histogram_report(ring_config(20), state, unscaled(state, in_data), bins=5)
         assert "min_distance" not in tables
         assert "entropy" in tables
 
@@ -335,7 +344,17 @@ class TestHistogramReport:
         state = make_train_state([2], "isomax", 3, seed=0)
         ds = gaussian_blobs(3, 2, 4.0, 0.5, 5, seed=1)
         with pytest.raises(ContractViolation):
-            histogram_report(state, ds, ds, bins=1)
+            histogram_report(ring_config(5), state, unscaled(state, ds), bins=1)
+
+    def test_needs_an_ood_spec_and_the_state_seed(self):
+        state = make_train_state([2], "isomax", 3, seed=0)
+        ds = gaussian_blobs(3, 2, 4.0, 0.5, 5, seed=1)
+        with pytest.raises(ContractViolation, match="at least one OOD spec"):
+            histogram_report(tiny_config(ood=[], score_kinds=[]), state,
+                             unscaled(state, ds), bins=5)
+        other = experiment.SeedData(1, ds, None, experiment.InputScaler.identity(2))
+        with pytest.raises(ContractViolation, match="data of seed 1"):
+            histogram_report(ring_config(5), state, other, bins=5)
 
     def test_csv_format(self, tmp_path):
         path = tmp_path / "hist.csv"

@@ -18,7 +18,7 @@ INSTANCES = 5
 def loss_grad_wrt_logits(head, logits, targets, mean=True, entropic=True):
     """heads._loss_grad_wrt_logits, with switches that remove the 1/n of
     the mean or the entropic scale from the gradient."""
-    scale = heads._training_scale(head)
+    scale = head.training_scale
     n = len(targets)
     probs = stable_softmax_rows(logits, scale)
     grad = probs.copy()
@@ -38,9 +38,9 @@ def normalize_backward_without_projection(raw, unit, d_unit):
     return out
 
 
-def backbone_backward_without_mask(b, inputs, d_features):
+def backbone_backward_without_mask(b, trace, d_features):
     """model.backbone_backward with the rectifier mask dropped."""
-    _, layer_inputs, _ = model._forward_trace(b, inputs)
+    _, layer_inputs, _ = trace
     d_weights = [None] * len(b.weights)
     d_biases = [None] * len(b.weights)
     delta = np.asarray(d_features, dtype=np.float64)
@@ -96,8 +96,9 @@ def test_the_copies_match_the_originals():
     # A single affine layer has no rectifier, so the mask never applies.
     backbone = model.make_backbone([3, 4], rng)
     inputs, d_features = rng.standard_normal((6, 3)), rng.standard_normal((6, 4))
-    expected = model.backbone_backward(backbone, inputs, d_features)
-    got = backbone_backward_without_mask(backbone, inputs, d_features)
+    trace = model.forward_trace(backbone, inputs)
+    expected = model.backbone_backward(backbone, trace, d_features)
+    got = backbone_backward_without_mask(backbone, trace, d_features)
     np.testing.assert_array_equal(got.d_weights[0], expected.d_weights[0])
     np.testing.assert_array_equal(got.d_biases[0], expected.d_biases[0])
 

@@ -15,14 +15,15 @@ from oodkit.heads import (
     forward_logits,
     head_outputs,
     inference_probabilities,
-    make_isomax_head,
-    make_isomaxplus_head,
-    make_softmax_head,
     predict,
     training_loss,
-    training_probabilities,
 )
-from oodkit.numerics import ContractViolation, pairwise_euclidean, shannon_entropy_rows
+from oodkit.numerics import (
+    ContractViolation,
+    pairwise_euclidean,
+    shannon_entropy_rows,
+    stable_softmax_rows,
+)
 from oracles import fused_log_softmax_loss
 
 
@@ -89,7 +90,7 @@ class TestTrainingLoss:
                 assert training_loss(head, f, t) >= 0.0
 
     def test_isomax_uniform_at_init(self):
-        head = make_isomax_head(classes=5, dim=3)
+        head = IsoMaxHead.initial(classes=5, dim=3, rng=np.random.default_rng(0))
         f = np.random.default_rng(4).standard_normal((8, 3))
         assert training_loss(head, f, [0, 1, 2, 3, 4, 0, 1, 2]) == pytest.approx(
             math.log(5.0), abs=1e-9)
@@ -104,7 +105,7 @@ class TestTrainingLoss:
                 fused_log_softmax_loss(head, f, t), rel=1e-10, abs=1e-12)
 
     def test_invalid_target(self):
-        head = make_isomax_head(2, 2)
+        head = IsoMaxHead.initial(2, 2, np.random.default_rng(0))
         with pytest.raises(ContractViolation):
             training_loss(head, [[1.0, 2.0]], [2])
 
@@ -133,7 +134,7 @@ class TestInferenceProbabilities:
             for _ in range(10):
                 head, f, _ = gradcheck._draw_instance(kind, rng)
                 infer = inference_probabilities(head, f)
-                train = training_probabilities(head, f)
+                train = stable_softmax_rows(forward_logits(head, f), head.training_scale)
                 np.testing.assert_array_equal(infer.argmax(axis=1), train.argmax(axis=1))
 
     def test_entropic_scale_removed(self):
@@ -142,7 +143,7 @@ class TestInferenceProbabilities:
                               entropic_scale=10.0)
         f = rng.standard_normal((5, 4))
         infer = inference_probabilities(head, f)
-        train = training_probabilities(head, f)
+        train = stable_softmax_rows(forward_logits(head, f), head.training_scale)
         # the training softmax is strictly sharper away from uniform
         assert shannon_entropy_rows(infer).mean() > shannon_entropy_rows(train).mean()
 
@@ -180,7 +181,7 @@ class TestHeadOutputs:
     def test_bit_identical_to_the_separate_functions(self, kind):
         rng = np.random.default_rng(8)
         head = {
-            "softmax": make_softmax_head(4, 3, rng),
+            "softmax": SoftMaxHead.initial(4, 3, rng),
             "isomax": IsoMaxHead(prototypes=rng.standard_normal((4, 3))),
             "isomaxplus": IsoMaxPlusHead(prototypes=rng.standard_normal((4, 3)),
                                          distance_scale=-2.5),
@@ -264,22 +265,22 @@ class TestIsometryInvariance:
 
 class TestFactories:
     def test_isomax_prototypes_start_at_zero(self):
-        head = make_isomax_head(4, 7)
+        head = IsoMaxHead.initial(4, 7, np.random.default_rng(0))
         np.testing.assert_array_equal(head.prototypes, 0.0)
         assert head.entropic_scale == 10.0
 
     def test_isomaxplus_seeded_standard_normal(self):
         rng = np.random.default_rng(99)
-        head = make_isomaxplus_head(3, 5, rng)
+        head = IsoMaxPlusHead.initial(3, 5, rng)
         expected = np.random.default_rng(99).standard_normal((3, 5))
         np.testing.assert_array_equal(head.prototypes, expected)
         assert head.distance_scale == 1.0
 
     def test_softmax_bias_starts_at_zero(self):
-        head = make_softmax_head(3, 5, np.random.default_rng(0))
+        head = SoftMaxHead.initial(3, 5, np.random.default_rng(0))
         np.testing.assert_array_equal(head.bias, 0.0)
 
     def test_min_distance_requires_distance_head(self):
-        head = make_softmax_head(3, 5, np.random.default_rng(0))
+        head = SoftMaxHead.initial(3, 5, np.random.default_rng(0))
         with pytest.raises(ContractViolation):
             feature_prototype_distances(head, np.zeros((1, 5)))

@@ -14,6 +14,7 @@ from oodkit.model import (
     backbone_backward,
     backbone_forward,
     fit,
+    forward_trace,
     make_backbone,
     make_train_state,
     nesterov_update,
@@ -54,7 +55,7 @@ class TestBackboneBackward:
     def test_zero_upstream_gives_zero_gradients(self):
         b = make_backbone([3, 4, 2], np.random.default_rng(1))
         x = np.random.default_rng(2).standard_normal((5, 3))
-        grads = backbone_backward(b, x, np.zeros((5, 2)))
+        grads = backbone_backward(b, forward_trace(b, x), np.zeros((5, 2)))
         for g in grads.d_weights + grads.d_biases:
             np.testing.assert_array_equal(g, 0.0)
 
@@ -67,7 +68,7 @@ class TestBackboneBackward:
         # one hidden unit sitting exactly at 0 must pass no gradient
         b = MlpBackbone(weights=[np.array([[1.0]]), np.array([[1.0]])],
                         biases=[np.zeros(1), np.zeros(1)])
-        grads = backbone_backward(b, [[0.0]], np.array([[1.0]]))
+        grads = backbone_backward(b, forward_trace(b, [[0.0]]), np.array([[1.0]]))
         np.testing.assert_array_equal(grads.d_weights[0], [[0.0]])
 
 

@@ -8,10 +8,10 @@ import pytest
 from oodkit.heads import (
     IsoMaxHead,
     IsoMaxPlusHead,
+    SoftMaxHead,
     feature_prototype_distances,
     forward_logits,
     head_outputs,
-    make_softmax_head,
 )
 from oodkit.numerics import ContractViolation
 from oodkit.scores import (
@@ -114,7 +114,7 @@ class TestMinDistanceScore:
         assert s[0] == pytest.approx(-3.0)  # no normalization under isomax
 
     def test_softmax_head_rejected(self):
-        head = make_softmax_head(3, 4, np.random.default_rng(0))
+        head = SoftMaxHead.initial(3, 4, np.random.default_rng(0))
         with pytest.raises(ContractViolation):
             min_distance_score(head, np.zeros((1, 4)))
 
@@ -131,7 +131,7 @@ class TestComputeScore:
                                       min_distance_score(head, f))
 
     def test_min_distance_rejects_softmax_outputs(self):
-        head = make_softmax_head(3, 4, np.random.default_rng(0))
+        head = SoftMaxHead.initial(3, 4, np.random.default_rng(0))
         with pytest.raises(ContractViolation):
             compute_score("min_distance", head_outputs(head, np.zeros((1, 4))))
 
