@@ -296,6 +296,15 @@ def spec_value(spec: dict, key: str, convert=float, default=None):
                                 f"{convert.__name__}, got {spec[key]!r}") from None
 
 
+def spec_count(spec: dict, key: str) -> int:
+    """spec_value(spec, key, int), also rejecting a negative count."""
+    count = spec_value(spec, key, int)
+    if count < 0:
+        raise ContractViolation(f"{spec.get('kind')} spec key {key!r} must be "
+                                f"nonnegative, got {count}")
+    return count
+
+
 def dataset_from_spec(spec: dict, seed) -> Dataset:
     """Build a dataset from a declarative spec dict (the config file form)."""
     if not isinstance(spec, dict) or "kind" not in spec:
@@ -309,10 +318,10 @@ def dataset_from_spec(spec: dict, seed) -> Dataset:
             n_per_class=get("n_per_class", int), seed=seed)
     if kind == "uniform":
         return ood_uniform(dims=get("dims", int, 2), low=get("low"), high=get("high"),
-                           n=get("n", int), seed=seed)
+                           n=spec_count(spec, "n"), seed=seed)
     if kind == "ring":
         return ood_ring(inner_radius=get("inner_radius"), outer_radius=get("outer_radius"),
-                        n=get("n", int), seed=seed, dims=get("dims", int, 2))
+                        n=spec_count(spec, "n"), seed=seed, dims=get("dims", int, 2))
     if kind == "idx":
         return load_idx(get("images", str), get("labels", str))
     if kind == "csv":

@@ -67,10 +67,12 @@ def _check_keys(d, known, what: str):
         raise ContractViolation(f"unknown {what} keys: {sorted(unknown)}")
 
 
-# JSON type name -> check. As in JSON, a boolean is not a number.
+# JSON type name -> check. As in JSON, a boolean is not a number, and
+# neither is NaN or Infinity, which Python's json module parses.
 _JSON_TYPES = {
     "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "number": lambda v: (isinstance(v, (int, float)) and not isinstance(v, bool)
+                         and math.isfinite(v)),
     "string": lambda v: isinstance(v, str),
     "string or null": lambda v: v is None or isinstance(v, str),
     "boolean": lambda v: isinstance(v, bool),
@@ -158,6 +160,10 @@ class ExperimentConfig:
         if (self.in_distribution.get("kind") == "blobs"
                 and data_mod.spec_value(self.in_distribution, "classes", int, 0) < 2):
             raise ContractViolation("in-distribution spec needs at least 2 classes")
+        # An OOD set is only built at evaluation; check its size before training.
+        for spec in self.ood:
+            if spec.get("kind") in ("uniform", "ring") and "n" in spec:
+                data_mod.spec_count(spec, "n")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -262,10 +268,9 @@ def _split_heldout(cfg: ExperimentConfig, ds: data_mod.Dataset):
     With train_classes = k, classes 0..k-1 stay in-distribution and the
     remaining rows become an unlabeled pool for OOD specs of kind
     'heldout'."""
-    k = cfg.in_distribution.get("train_classes")
-    if k is None:
+    if cfg.in_distribution.get("train_classes") is None:
         return ds, None
-    k = int(k)
+    k = data_mod.spec_value(cfg.in_distribution, "train_classes", int)
     if ds.targets is None:
         raise ContractViolation("held-out protocol needs a labeled dataset")
     if k < 2 or k >= ds.class_count:

@@ -2,7 +2,10 @@
 
 The suite draws small random instances, compares heads.backward and
 model.backbone_backward against central differences of the actual
-training loss, and reports the worst guarded relative error. Instances
+training loss, and reports the worst guarded relative error. Each
+instance is checked once, by heads.backward and one heads.training_loss
+call; the finite differences then evaluate the unchecked heads._mean_loss,
+the same arithmetic without the checks. Instances
 too close to a nondifferentiable or near-singular point (a rectifier
 kink, a feature/prototype collision, a near-zero norm entering a
 normalization) are redrawn, since finite differences at a fixed step
@@ -136,11 +139,12 @@ def check_head_instance(kind: str, rng: np.random.Generator,
     """Worst relative error across every gradient of one random instance."""
     head, features, targets = _draw_instance(kind, rng)
     grads = heads.backward(head, features, targets)
+    heads.training_loss(head, features, targets)  # the checks _mean_loss skips
     numeric = finite_difference(
-        lambda f: heads.training_loss(head, f, targets), features, h)
+        lambda f: heads._mean_loss(head, f, targets), features, h)
     return max(relative_error(grads.d_features, numeric), _check_in_place(
         [(name, getattr(head, name)) for name in head.parameters], grads.params,
-        lambda: heads.training_loss(head, features, targets), h))
+        lambda: heads._mean_loss(head, features, targets), h))
 
 
 def check_backbone_instance(rng: np.random.Generator,
@@ -169,12 +173,13 @@ def check_backbone_instance(rng: np.random.Generator,
         raise RuntimeError("could not draw a differentiable backbone instance")
 
     hg = heads.backward(head, features, targets)
+    heads.training_loss(head, features, targets)  # the checks _mean_loss skips
     bg = model.backbone_backward(backbone, trace, hg.d_features)
     state = model.TrainState(backbone=backbone, head=head, velocities={})
     return _check_in_place(
         [(name, p) for name, p in model.named_parameters(state) if name.startswith("backbone.")],
         model.named_gradients(bg, hg),
-        lambda: heads.training_loss(head, model.backbone_forward(backbone, inputs), targets), h)
+        lambda: heads._mean_loss(head, model.backbone_forward(backbone, inputs), targets), h)
 
 
 _STREAM_IDS = {"softmax": 11, "isomax": 12, "isomaxplus": 13, "backbone": 14}

@@ -23,9 +23,11 @@ import numpy as np
 from .numerics import (
     NORM_EPS,
     ContractViolation,
+    _normalize_rows,
+    _pairwise,
+    _softmax_rows,
     as_matrix,
     pairwise_euclidean,
-    row_normalize,
     shannon_entropy_rows,
     stable_softmax_rows,
 )
@@ -62,8 +64,11 @@ def _one_value(name: str, value) -> np.ndarray:
 # Each class also holds what differs between kinds: `initial` (a seeded
 # fresh head), `forward` (logits, and the distances they came from or
 # None), `gradients` (HeadGradients of the mean loss) and
-# `training_scale`. They take checked arrays; the module-level functions
-# below are the checked entry points.
+# `training_scale`. They take checked arrays and call the unchecked
+# numerics kernels; the module-level functions below are the checked
+# entry points. The distance heads' `forward` still calls the public
+# pairwise_euclidean, so every distance matrix an evaluation computes
+# passes through it.
 
 
 @dataclass
@@ -195,13 +200,14 @@ class IsoMaxPlusHead(_PrototypeHead):
                    entropic_scale=entropic_scale)
 
     def forward(self, features: np.ndarray):
-        distances = pairwise_euclidean(row_normalize(features), row_normalize(self.prototypes))
+        distances = pairwise_euclidean(_normalize_rows(features),
+                                       _normalize_rows(self.prototypes))
         return -abs(self.distance_scale[0]) * distances, distances
 
     def gradients(self, features: np.ndarray, targets: np.ndarray) -> HeadGradients:
-        fhat = row_normalize(features)
-        phat = row_normalize(self.prototypes)
-        distances = pairwise_euclidean(fhat, phat)
+        fhat = _normalize_rows(features)
+        phat = _normalize_rows(self.prototypes)
+        distances = _pairwise(fhat, phat)
         s = abs(self.distance_scale[0])
         g = _loss_grad_wrt_logits(self, -s * distances, targets)
         # dL/dD = -s g; chain onto the unit vectors, then through both
@@ -263,7 +269,7 @@ def _check_targets(head: ClassifierHead, targets, n: int) -> np.ndarray:
     targets = np.asarray(targets, dtype=np.int64)
     if targets.ndim != 1 or len(targets) != n:
         raise ContractViolation("targets must be a 1-D vector matching the feature rows")
-    if np.any(targets < 0) or np.any(targets >= head.classes):
+    if targets.size and (targets.min() < 0 or targets.max() >= head.classes):
         raise ContractViolation(
             f"targets must lie in [0, {head.classes}), got range "
             f"[{targets.min()}, {targets.max()}]"
@@ -297,8 +303,12 @@ def training_loss(head: ClassifierHead, features, targets) -> float:
     rather than fused into a log-softmax.
     """
     features = _check_features(head, features)
-    targets = _check_targets(head, targets, len(features))
-    probs = stable_softmax_rows(head.forward(features)[0], head.training_scale)
+    return _mean_loss(head, features, _check_targets(head, targets, len(features)))
+
+
+def _mean_loss(head: ClassifierHead, features: np.ndarray, targets: np.ndarray) -> float:
+    """training_loss of checked features and targets."""
+    probs = _softmax_rows(head.forward(features)[0], head.training_scale)
     at_target = probs[np.arange(len(targets)), targets]
     return float(-np.log(np.maximum(at_target, PROBABILITY_FLOOR)).mean())
 
@@ -347,7 +357,7 @@ def _loss_grad_wrt_logits(head: ClassifierHead, logits: np.ndarray,
     floor contribute nothing, matching the flat region of the clamped loss."""
     scale = head.training_scale
     n = len(targets)
-    probs = stable_softmax_rows(logits, scale)
+    probs = _softmax_rows(logits, scale)
     grad = probs.copy()
     grad[np.arange(n), targets] -= 1.0
     grad *= scale / n

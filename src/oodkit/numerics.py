@@ -3,6 +3,12 @@
 All operations are pure functions: inputs are never mutated and results
 are freshly allocated.  Everything runs in 64-bit (gradient verification
 at tight tolerances is unreliable in 32-bit).
+
+Each public function checks its arguments once and then calls a private
+kernel (`_normalize_rows`, `_pairwise`, `_softmax_rows`) that takes
+checked arrays: 2-D, float64 and finite. Callers that have already
+checked their arrays call the kernels directly; the arithmetic, and so
+every result, is the same either way.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     m = np.asarray(values, dtype=np.float64)
     if m.ndim != 2:
         raise ContractViolation(f"{name} must be 2-D, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ContractViolation(f"{name} contains non-finite entries")
     return m
 
@@ -37,7 +43,10 @@ def row_normalize(m, eps: float = NORM_EPS) -> np.ndarray:
     """
     if eps <= 0:
         raise ContractViolation(f"eps must be positive, got {eps}")
-    m = as_matrix(m)
+    return _normalize_rows(as_matrix(m), eps)
+
+
+def _normalize_rows(m: np.ndarray, eps: float = NORM_EPS) -> np.ndarray:
     norms = np.sqrt(np.einsum("ij,ij->i", m, m))
     return m / np.maximum(norms, eps)[:, np.newaxis]
 
@@ -59,6 +68,10 @@ def pairwise_euclidean(a, b) -> np.ndarray:
         raise ContractViolation(
             f"column mismatch: a has {a.shape[1]} columns, b has {b.shape[1]}"
         )
+    return _pairwise(a, b)
+
+
+def _pairwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.empty((a.shape[0], b.shape[0]))
     for start in range(0, a.shape[0], DISTANCE_BLOCK_ROWS):
         stop = start + DISTANCE_BLOCK_ROWS
@@ -73,7 +86,11 @@ def stable_softmax_rows(m, scale: float = 1.0) -> np.ndarray:
     Safe for arbitrarily large logits; every row sums to 1 and all
     entries lie in (0, 1].
     """
-    z = as_matrix(m) * scale
+    return _softmax_rows(as_matrix(m), scale)
+
+
+def _softmax_rows(m: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    z = m * scale
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)

@@ -7,7 +7,7 @@ candidate with direct comparisons.
 
 import numpy as np
 
-from oodkit import heads, model
+from oodkit import gradcheck, heads, model
 from oodkit.heads import (
     DISTANCE_GRAD_EPS,
     PROBABILITY_FLOOR,
@@ -262,3 +262,62 @@ def sgd_step_oracle(state, batch, cfg, lr=None):
         param -= lr * (g + cfg.momentum * v)
         state.velocities[name] = v
     return loss
+
+
+# ---------------------------------------------------------------------------
+# The gradient check as it was written before its finite differences went
+# through the unchecked heads._mean_loss: every perturbed loss is a fully
+# checked heads.training_loss call. gradcheck.run_suite must match it bit
+# for bit.
+
+
+def _check_head_instance_oracle(kind, rng, h):
+    head, features, targets = gradcheck._draw_instance(kind, rng)
+    grads = heads.backward(head, features, targets)
+    numeric = gradcheck.finite_difference(
+        lambda f: heads.training_loss(head, f, targets), features, h)
+    return max(gradcheck.relative_error(grads.d_features, numeric), gradcheck._check_in_place(
+        [(name, getattr(head, name)) for name in head.parameters], grads.params,
+        lambda: heads.training_loss(head, features, targets), h))
+
+
+def _check_backbone_instance_oracle(rng, h):
+    for _ in range(100):
+        n = int(rng.integers(1, 9))
+        widths = [int(rng.integers(1, 6)) for _ in range(int(rng.integers(2, 4)))]
+        c = int(rng.integers(1, 5))
+        kind = str(rng.choice(list(heads.HEAD_KINDS)))
+        backbone = model.make_backbone(widths, rng)
+        head = gradcheck._random_head(kind, c, widths[-1], rng)
+        inputs = rng.standard_normal((n, widths[0]))
+        targets = rng.integers(0, c, size=n)
+        trace = model.forward_trace(backbone, inputs)
+        features, _, preacts = trace
+        if any(np.abs(z).min() < 1e-4 for z in preacts[:-1] if z.size):
+            continue
+        if not gradcheck._smooth_at_step(kind, head, features):
+            continue
+        if gradcheck._near_probability_floor(head, features, targets):
+            continue
+        break
+    else:
+        raise RuntimeError("could not draw a differentiable backbone instance")
+
+    hg = heads.backward(head, features, targets)
+    bg = model.backbone_backward(backbone, trace, hg.d_features)
+    state = model.TrainState(backbone=backbone, head=head, velocities={})
+    return gradcheck._check_in_place(
+        [(name, p) for name, p in model.named_parameters(state) if name.startswith("backbone.")],
+        model.named_gradients(bg, hg),
+        lambda: heads.training_loss(head, model.backbone_forward(backbone, inputs), targets), h)
+
+
+def run_suite_oracle(instances, seed, h=gradcheck.DEFAULT_STEP):
+    """gradcheck.run_suite with checked finite differences."""
+    results = {}
+    for kind in heads.HEAD_KINDS:
+        rng = np.random.default_rng([seed, gradcheck._STREAM_IDS[kind]])
+        results[kind] = max(_check_head_instance_oracle(kind, rng, h) for _ in range(instances))
+    rng = np.random.default_rng([seed, gradcheck._STREAM_IDS["backbone"]])
+    results["backbone"] = max(_check_backbone_instance_oracle(rng, h) for _ in range(instances))
+    return results

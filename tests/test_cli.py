@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from oodkit import experiment
 from oodkit.cli import cli_main
 from oodkit.data import BatchStream
 
@@ -135,6 +136,41 @@ class TestMalformedConfig:
         path = config_path(in_distribution={"kind": "csv", "path": str(data)})
         assert cli_main(["train", "--config", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {data}:2: {message}\n"
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("spec", [
+        {"name": "ring", "kind": "ring", "inner_radius": 8.0, "outer_radius": 12.0, "n": -5},
+        {"name": "box", "kind": "uniform", "low": -12.0, "high": 12.0, "n": -5},
+    ], ids=["ring", "uniform"])
+    def test_negative_ood_count_exits_1_with_one_line(self, config_path, tmp_path, capsys,
+                                                      command, spec):
+        path = config_path()
+        argv = ["--config", str(path)]
+        if command == "eval":
+            assert cli_main(["train", *argv]) == 0
+            argv += ["--checkpoint", str(tmp_path / "out" / "checkpoint_seed1.bin")]
+        capsys.readouterr()
+        config_path(ood=[spec])
+        assert cli_main([command, *argv]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {spec['kind']} spec key 'n' must be nonnegative, got -5\n")
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"in_distribution": {"kind": "blobs", "classes": 3, "dims": 2,
+                              "centers_radius": 4.0, "sigma": 0.5, "n_per_class": 40,
+                              "train_classes": "x"}},
+         "blobs spec key 'train_classes' must be int, got 'x'"),
+        ({"entropic_scale": float("inf")}, "entropic_scale must be a number, got inf"),
+        ({"sgd": {"epochs": 3, "batch_size": 16, "learning_rate": float("nan")}},
+         "sgd.learning_rate must be a number, got nan"),
+    ], ids=["train_classes_string", "infinite_entropic_scale", "nan_learning_rate"])
+    def test_rejected_before_training(self, config_path, capsys, monkeypatch, overrides,
+                                      message):
+        trained = []
+        monkeypatch.setattr(experiment, "fit", lambda *args: trained.append(args))
+        assert cli_main(["train", "--config", str(config_path(**overrides))]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert trained == []
 
 
 class TestPublicApiOnly:

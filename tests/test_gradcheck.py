@@ -7,8 +7,9 @@ copy of the gradient code, then asserts that both the suite and
 
 import numpy as np
 import pytest
+from oracles import run_suite_oracle
 
-from oodkit import gradcheck, heads, model
+from oodkit import experiment, gradcheck, heads, model
 from oodkit.cli import GRADCHECK_TOLERANCE, cli_main
 from oodkit.numerics import NORM_EPS, stable_softmax_rows
 
@@ -109,3 +110,19 @@ def test_gradcheck_catches_a_seeded_bug(bug, monkeypatch, capsys):
     assert max(gradcheck.run_suite(instances=INSTANCES).values()) > GRADCHECK_TOLERANCE
     assert cli_main(["gradcheck", "--instances", str(INSTANCES)]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_suite_matches_the_suite_with_checked_finite_differences():
+    assert gradcheck.run_suite(instances=10, seed=0) == run_suite_oracle(10, 0)
+
+
+def test_suite_repeats_after_a_training_in_the_same_process():
+    # Nothing a training leaves behind may reach the next suite.
+    first = gradcheck.run_suite(instances=10, seed=0)
+    cfg = experiment.ExperimentConfig.from_dict({
+        "head": "isomaxplus", "backbone_widths": [2, 8, 8],
+        "in_distribution": {"kind": "blobs", "classes": 3, "dims": 2,
+                            "centers_radius": 4.0, "sigma": 0.5, "n_per_class": 40},
+        "score_kinds": [], "seeds": [4], "sgd": {"epochs": 3, "batch_size": 16}})
+    experiment.train_single_seed(cfg, 4)
+    assert gradcheck.run_suite(instances=10, seed=0) == first

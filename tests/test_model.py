@@ -181,6 +181,21 @@ class TestSgdStep:
             np.testing.assert_array_equal(w0, w1)
         assert not state.velocities
 
+    @pytest.mark.parametrize("kind, name", [("softmax", "weights"), ("isomax", "prototypes"),
+                                            ("isomaxplus", "distance_scale")])
+    def test_overflowing_logits_raise_diverged_with_location(self, kind, name):
+        state, _ = blob_state_and_data(kind)
+        getattr(state.head, name)[:] = 1e308  # finite features, but the logits overflow
+        before = copy.deepcopy(state)
+        batch = self.make_batch(np.random.default_rng(5))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                TrainingDiverged) as info:
+            sgd_step(state, batch, SgdConfig(), epoch=3, batch_index=1)
+        assert str(info.value) == "non-finite loss nan at epoch 3 batch 1"
+        assert (info.value.epoch, info.value.batch_index) == (3, 1)
+        np.testing.assert_array_equal(getattr(state.head, name), getattr(before.head, name))
+        assert not state.velocities
+
 
 class TestFit:
     def test_zero_epochs_is_identity(self):
