@@ -6,8 +6,9 @@ dataset can always be regenerated bit for bit.
 
 from __future__ import annotations
 
-import functools
+import math
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,8 +92,10 @@ def gaussian_blobs(classes: int, dims: int, centers_radius: float, sigma: float,
 
 def ood_uniform(dims: int, low: float, high: float, n: int, seed) -> Dataset:
     """Unlabeled i.i.d. uniform samples over the box [low, high]^dims."""
-    if low >= high:
-        raise ContractViolation(f"need low < high, got [{low}, {high}]")
+    if not (low < high and math.isfinite(high - low)):
+        raise ContractViolation(f"need low < high with a finite high - low, got [{low}, {high}]")
+    if dims < 0 or n < 0:
+        raise ContractViolation("dims and n must be nonnegative")
     rng = np.random.default_rng(seed)
     inputs = rng.uniform(low, high, size=(n, dims))
     return Dataset(inputs, None, f"uniform(low={low}, high={high}, n={n})")
@@ -108,8 +111,11 @@ def ood_ring(inner_radius: float, outer_radius: float, n: int, seed,
     """
     if dims != 2:
         raise ContractViolation("ood_ring only supports dims=2")
-    if not (0 < inner_radius < outer_radius):
-        raise ContractViolation("need 0 < inner_radius < outer_radius")
+    if not (0 < inner_radius < outer_radius) or math.isinf(outer_radius * outer_radius):
+        raise ContractViolation("need 0 < inner_radius < outer_radius with a finite "
+                                "outer_radius ** 2")
+    if n < 0:
+        raise ContractViolation("n must be nonnegative")
     rng = np.random.default_rng(seed)
     theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
     radius = np.sqrt(rng.uniform(inner_radius ** 2, outer_radius ** 2, size=n))
@@ -188,10 +194,14 @@ def write_idx(ds: Dataset, images_path, labels_path):
 
 def _csv_field(path: str, line_no: int, column: str, text: str, convert):
     try:
-        return convert(text)
+        value = convert(text)
     except ValueError:
         raise ContractViolation(f"{path}:{line_no}: field {column!r} must be "
                                 f"{convert.__name__}, got {text!r}") from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ContractViolation(f"{path}:{line_no}: field {column!r} must be finite, "
+                                f"got {text!r}")
+    return value
 
 
 def load_csv(path) -> Dataset:
@@ -279,51 +289,81 @@ class BatchStream:
         return batches
 
 
-def spec_value(spec: dict, key: str, convert=float, default=None):
-    """spec[key] passed through convert, or default when the key is absent.
+def _heldout(seed) -> Dataset:
+    raise ContractViolation("a heldout set comes from in_distribution.train_classes")
 
-    A missing key without a default, or a value that convert rejects,
-    raises a ContractViolation naming the spec's kind and the key.
+
+# Python type -> check of a parsed JSON value. As in JSON, a bool is not a
+# number, and neither is NaN or an infinity, which Python's json parses.
+JSON_TYPES = {
+    int: lambda v: isinstance(v, int) and not isinstance(v, bool),
+    float: lambda v: (isinstance(v, (int, float)) and not isinstance(v, bool)
+                      and abs(v) <= sys.float_info.max),
+    str: lambda v: isinstance(v, str),
+    bool: lambda v: isinstance(v, bool),
+    dict: lambda v: isinstance(v, dict),
+}
+
+REQUIRED = object()
+# kind -> (builder, {key: (JSON type, default or REQUIRED)}). Every spec
+# may also carry SPEC_KEYS, which are not builder arguments. An int is a
+# count, so it is nonnegative; a number under a POSITIVE key is above 0.
+SPEC_KINDS = {
+    "blobs": (gaussian_blobs, {"classes": (int, REQUIRED), "dims": (int, 2),
+                               "centers_radius": (float, REQUIRED),
+                               "sigma": (float, REQUIRED), "n_per_class": (int, REQUIRED)}),
+    "uniform": (ood_uniform, {"dims": (int, 2), "low": (float, REQUIRED),
+                              "high": (float, REQUIRED), "n": (int, REQUIRED)}),
+    "ring": (ood_ring, {"inner_radius": (float, REQUIRED), "outer_radius": (float, REQUIRED),
+                        "n": (int, REQUIRED), "dims": (int, 2)}),
+    "idx": (lambda images, labels, seed: load_idx(images, labels),
+            {"images": (str, REQUIRED), "labels": (str, REQUIRED)}),
+    "csv": (lambda path, seed: load_csv(path), {"path": (str, REQUIRED)}),
+    "heldout": (_heldout, {}),
+}
+SPEC_KEYS = {"name": (str, None), "train_classes": (int, None)}
+POSITIVE = frozenset({"dims", "n_per_class", "sigma", "inner_radius", "outer_radius"})
+
+
+def _spec_value(kind: str, key: str, value, json_type):
+    if not JSON_TYPES[json_type](value):
+        rule = json_type.__name__
+    elif key in POSITIVE and value <= 0:
+        rule = "positive"
+    elif json_type is int and value < 0:
+        rule = "nonnegative"
+    else:
+        return json_type(value)
+    raise ContractViolation(f"{kind} spec key {key!r} must be {rule}, got {value!r}")
+
+
+def check_spec(spec) -> dict:
+    """The builder arguments of a data spec, defaults filled in.
+
+    Raises a ContractViolation naming the kind and the key on an unknown
+    kind or key, a missing key, or a value of the wrong JSON type or sign.
     """
-    if key not in spec:
-        if default is None:
-            raise ContractViolation(f"{spec.get('kind')} spec is missing {key!r}")
-        return default
-    try:
-        return convert(spec[key])
-    except (TypeError, ValueError):
-        raise ContractViolation(f"{spec.get('kind')} spec key {key!r} must be "
-                                f"{convert.__name__}, got {spec[key]!r}") from None
-
-
-def spec_count(spec: dict, key: str) -> int:
-    """spec_value(spec, key, int), also rejecting a negative count."""
-    count = spec_value(spec, key, int)
-    if count < 0:
-        raise ContractViolation(f"{spec.get('kind')} spec key {key!r} must be "
-                                f"nonnegative, got {count}")
-    return count
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise ContractViolation("data spec must be a mapping with a 'kind' key")
+    kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in SPEC_KINDS:
+        raise ContractViolation(f"unknown data spec kind {kind!r}")
+    keys = SPEC_KINDS[kind][1]
+    unknown = set(spec) - {"kind", *SPEC_KEYS, *keys}
+    if unknown:
+        raise ContractViolation(f"unknown {kind} spec keys: {sorted(unknown)}")
+    args = {}
+    for key, (json_type, default) in {**SPEC_KEYS, **keys}.items():
+        if key in spec:
+            args[key] = _spec_value(kind, key, spec[key], json_type)
+        elif default is REQUIRED:
+            raise ContractViolation(f"{kind} spec is missing {key!r}")
+        else:
+            args[key] = default
+    return {key: args[key] for key in keys}
 
 
 def dataset_from_spec(spec: dict, seed) -> Dataset:
     """Build a dataset from a declarative spec dict (the config file form)."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ContractViolation("data spec must be a mapping with a 'kind' key")
-    kind = spec["kind"]
-    get = functools.partial(spec_value, spec)
-    if kind == "blobs":
-        return gaussian_blobs(
-            classes=get("classes", int), dims=get("dims", int, 2),
-            centers_radius=get("centers_radius"), sigma=get("sigma"),
-            n_per_class=get("n_per_class", int), seed=seed)
-    if kind == "uniform":
-        return ood_uniform(dims=get("dims", int, 2), low=get("low"), high=get("high"),
-                           n=spec_count(spec, "n"), seed=seed)
-    if kind == "ring":
-        return ood_ring(inner_radius=get("inner_radius"), outer_radius=get("outer_radius"),
-                        n=spec_count(spec, "n"), seed=seed, dims=get("dims", int, 2))
-    if kind == "idx":
-        return load_idx(get("images", str), get("labels", str))
-    if kind == "csv":
-        return load_csv(get("path", str))
-    raise ContractViolation(f"unknown data spec kind {kind!r}")
+    args = check_spec(spec)
+    return SPEC_KINDS[spec["kind"]][0](**args, seed=seed)

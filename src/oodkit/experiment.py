@@ -18,8 +18,9 @@ import math
 import os
 import struct
 import time
+import typing
 import warnings
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from importlib import resources
 
 import numpy as np
@@ -59,76 +60,54 @@ class ReportSchemaError(ValueError):
     """A report dict does not satisfy the shipped schema."""
 
 
-def _check_keys(d, known, what: str):
+# Annotation -> JSON type name; data.JSON_TYPES holds the checks.
+_JSON_NAMES = {int: "int", float: "number", str: "string", bool: "boolean", dict: "object"}
+
+
+def _check_fields(cls, d, prefix: str = ""):
+    """Raise a ContractViolation naming the first key of d that the
+    dataclass cls does not declare, the first required field d lacks, or
+    the first value whose JSON type is not its field's annotation."""
+    what = prefix.rstrip(".") or "config"
     if not isinstance(d, dict):
         raise ContractViolation(f"{what} must be a JSON object, got {type(d).__name__}")
-    unknown = set(d) - set(known)
+    unknown = set(d) - {f.name for f in fields(cls)}
     if unknown:
         raise ContractViolation(f"unknown {what} keys: {sorted(unknown)}")
+    hints = typing.get_type_hints(cls)
+    for f in fields(cls):
+        if f.name in d:
+            _check_json(hints[f.name], d[f.name], prefix + f.name)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ContractViolation(f"{what} is missing required key {f.name!r}")
 
 
-# JSON type name -> check. As in JSON, a boolean is not a number, and
-# neither is NaN or Infinity, which Python's json module parses.
-_JSON_TYPES = {
-    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "number": lambda v: (isinstance(v, (int, float)) and not isinstance(v, bool)
-                         and math.isfinite(v)),
-    "string": lambda v: isinstance(v, str),
-    "string or null": lambda v: v is None or isinstance(v, str),
-    "boolean": lambda v: isinstance(v, bool),
-    "object": lambda v: isinstance(v, dict),
-}
-
-# Config key -> (JSON type, whether the value is a list of that type).
-# The sgd object's own keys are in _SGD_TYPES.
-_CONFIG_TYPES = {
-    "head": ("string", False),
-    "backbone_widths": ("int", True),
-    "in_distribution": ("object", False),
-    "ood": ("object", True),
-    "score_kinds": ("string", True),
-    "seeds": ("int", True),
-    "entropic_scale": ("number", False),
-    "val_fraction": ("number", False),
-    "standardize_inputs": ("boolean", False),
-    "out_dir": ("string or null", False),
-}
-_SGD_TYPES = {
-    "learning_rate": ("number", False),
-    "momentum": ("number", False),
-    "weight_decay": ("number", False),
-    "batch_size": ("int", False),
-    "epochs": ("int", False),
-    "decay_epochs": ("int", True),
-    "decay_factor": ("number", False),
-}
-
-
-def _check_types(d: dict, types: dict, prefix: str = ""):
-    """Raise a ContractViolation naming the first key of d whose value
-    does not have its JSON type in types."""
-    for key, value in d.items():
-        if key not in types:
-            continue
-        kind, is_list = types[key]
-        ok = _JSON_TYPES[kind]
-        if is_list:
-            if not (isinstance(value, (list, tuple)) and all(ok(v) for v in value)):
-                raise ContractViolation(
-                    f"{prefix}{key} must be a list of {kind}s, got {value!r}")
-        elif not ok(value):
-            article = "an" if kind[0] in "aeiou" else "a"
-            raise ContractViolation(f"{prefix}{key} must be {article} {kind}, got {value!r}")
+def _check_json(hint, value, name: str):
+    if is_dataclass(hint):
+        return _check_fields(hint, value, name + ".")
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is list:
+        ok = data_mod.JSON_TYPES[args[0]]
+        if not (isinstance(value, (list, tuple)) and all(ok(v) for v in value)):
+            raise ContractViolation(
+                f"{name} must be a list of {_JSON_NAMES[args[0]]}s, got {value!r}")
+        return
+    nullable = type(None) in args  # str | None
+    base = args[0] if nullable else hint
+    kind = _JSON_NAMES[base] + (" or null" if nullable else "")
+    if not (data_mod.JSON_TYPES[base](value) or (nullable and value is None)):
+        article = "an" if kind[0] in "aeiou" else "a"
+        raise ContractViolation(f"{name} must be {article} {kind}, got {value!r}")
 
 
 @dataclass
 class ExperimentConfig:
     head: str
-    backbone_widths: list
+    backbone_widths: list[int]
     in_distribution: dict
-    ood: list = field(default_factory=list)
-    score_kinds: list = field(default_factory=lambda: ["max_probability", "entropic"])
-    seeds: list = field(default_factory=lambda: [1, 2, 3, 4, 5])
+    ood: list[dict] = field(default_factory=list)
+    score_kinds: list[str] = field(default_factory=lambda: ["max_probability", "entropic"])
+    seeds: list[int] = field(default_factory=lambda: [1, 2, 3, 4, 5])
     sgd: SgdConfig = field(default_factory=SgdConfig)
     entropic_scale: float = heads.DEFAULT_ENTROPIC_SCALE
     val_fraction: float = 0.2
@@ -151,58 +130,56 @@ class ExperimentConfig:
         self.seeds = [int(s) for s in self.seeds]
         if len(self.seeds) < 1:
             raise ContractViolation("at least one seed is required")
+        if min(self.seeds) < 0:
+            raise ContractViolation(f"seeds must be nonnegative, got {self.seeds}")
         if self.score_kinds and not self.ood:
             raise ContractViolation("detection metrics need at least one OOD spec")
         if not (0 <= self.val_fraction < 1):
             raise ContractViolation("val_fraction must lie in [0, 1)")
         if self.entropic_scale <= 0:
             raise ContractViolation("entropic_scale must be positive")
-        if (self.in_distribution.get("kind") == "blobs"
-                and data_mod.spec_value(self.in_distribution, "classes", int, 0) < 2):
+        self._check_data_specs()
+
+    def _check_data_specs(self):
+        """Check every data spec, so that train rejects a bad OOD spec
+        before it trains; an OOD set is only built at evaluation."""
+        in_spec = self.in_distribution
+        data_mod.check_spec(in_spec)
+        if in_spec["kind"] == "heldout":
+            raise ContractViolation("in_distribution cannot be of kind 'heldout'")
+        if in_spec.get("classes", 2) < 2:
             raise ContractViolation("in-distribution spec needs at least 2 classes")
-        # An OOD set is only built at evaluation; check its size before training.
-        for spec in self.ood:
-            if spec.get("kind") in ("uniform", "ring") and "n" in spec:
-                data_mod.spec_count(spec, "n")
+        names = []
+        for i, spec in enumerate(self.ood):
+            data_mod.check_spec(spec)
+            kind = spec["kind"]
+            if "train_classes" in spec:
+                raise ContractViolation(f"ood[{i}]: train_classes belongs to in_distribution")
+            if spec.get("n", 1) < 1:
+                raise ContractViolation(f"{kind} spec key 'n' of an OOD set must be at "
+                                        f"least 1, got {spec['n']}")
+            if kind == "heldout" and "train_classes" not in in_spec:
+                raise ContractViolation(
+                    "an OOD spec of kind 'heldout' needs in_distribution.train_classes")
+            name = _ood_name(spec, i)
+            if name in ("", ".", "..") or "/" in name or "\\" in name:
+                raise ContractViolation(
+                    f"OOD set name {name!r} must be a plain file name component")
+            if name in names:
+                raise ContractViolation(f"OOD set name {name!r} is used twice")
+            names.append(name)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """The config of a parsed JSON object; a missing key, an unknown
         key or a value of the wrong JSON type raises a ContractViolation
         that names the key."""
-        _check_keys(d, cls.__dataclass_fields__, "config")
-        for f in fields(cls):
-            if f.name not in d and f.default is MISSING and f.default_factory is MISSING:
-                raise ContractViolation(f"config is missing required key {f.name!r}")
-        _check_types(d, _CONFIG_TYPES)
+        _check_fields(cls, d)
         d = dict(d)
-        sgd = d.pop("sgd", {})
-        _check_keys(sgd, SgdConfig.__dataclass_fields__, "sgd")
-        _check_types(sgd, _SGD_TYPES, "sgd.")
-        return cls(sgd=SgdConfig(**sgd), **d)
+        return cls(sgd=SgdConfig(**d.pop("sgd", {})), **d)
 
     def to_dict(self) -> dict:
-        return {
-            "head": self.head,
-            "backbone_widths": list(self.backbone_widths),
-            "in_distribution": dict(self.in_distribution),
-            "ood": [dict(o) for o in self.ood],
-            "score_kinds": list(self.score_kinds),
-            "seeds": list(self.seeds),
-            "sgd": {
-                "learning_rate": self.sgd.learning_rate,
-                "momentum": self.sgd.momentum,
-                "weight_decay": self.sgd.weight_decay,
-                "batch_size": self.sgd.batch_size,
-                "epochs": self.sgd.epochs,
-                "decay_epochs": list(self.sgd.decay_epochs),
-                "decay_factor": self.sgd.decay_factor,
-            },
-            "entropic_scale": self.entropic_scale,
-            "val_fraction": self.val_fraction,
-            "standardize_inputs": self.standardize_inputs,
-            "out_dir": self.out_dir,
-        }
+        return asdict(self)
 
     def config_hash(self) -> bytes:
         """Digest of the experiment recipe.
@@ -259,7 +236,7 @@ class Report:
 
 
 def _ood_name(spec: dict, index: int) -> str:
-    return str(spec.get("name", f"{spec.get('kind', 'ood')}_{index}"))
+    return spec.get("name", f"{spec['kind']}_{index}")
 
 
 def _split_heldout(cfg: ExperimentConfig, ds: data_mod.Dataset):
@@ -268,9 +245,9 @@ def _split_heldout(cfg: ExperimentConfig, ds: data_mod.Dataset):
     With train_classes = k, classes 0..k-1 stay in-distribution and the
     remaining rows become an unlabeled pool for OOD specs of kind
     'heldout'."""
-    if cfg.in_distribution.get("train_classes") is None:
+    k = cfg.in_distribution.get("train_classes")
+    if k is None:
         return ds, None
-    k = data_mod.spec_value(cfg.in_distribution, "train_classes", int)
     if ds.targets is None:
         raise ContractViolation("held-out protocol needs a labeled dataset")
     if k < 2 or k >= ds.class_count:
@@ -437,18 +414,15 @@ def _aggregate(cfg: ExperimentConfig, per_seed: list) -> dict:
         return {"accuracy": None, "detection": []}
     aggregate = {"accuracy": _mean_std([r["accuracy"] for r in per_seed])}
     detection = []
+    # Every record lists its OOD sets and, within each, its scores in
+    # config order.
     for i, spec in enumerate(cfg.ood):
-        name = _ood_name(spec, i)
-        for kind in cfg.score_kinds:
-            values = {m: [] for m in ("auroc", "tnr_at_tpr95", "dtacc")}
-            for record in per_seed:
-                ood_eval = next(e for e in record["ood_evaluations"] if e["ood"] == name)
-                row = next(r for r in ood_eval["metrics"] if r["score"] == kind)
-                for m in values:
-                    values[m].append(row[m])
+        for j, kind in enumerate(cfg.score_kinds):
+            rows = [record["ood_evaluations"][i]["metrics"][j] for record in per_seed]
             detection.append({
-                "ood": name, "score": kind,
-                **{m: _mean_std(v) for m, v in values.items()},
+                "ood": _ood_name(spec, i), "score": kind,
+                **{m: _mean_std([row[m] for row in rows])
+                   for m in ("auroc", "tnr_at_tpr95", "dtacc")},
             })
     aggregate["detection"] = detection
     return aggregate

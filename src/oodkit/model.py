@@ -60,7 +60,7 @@ class SgdConfig:
     weight_decay: float = 1e-4
     batch_size: int = 64
     epochs: int = 0
-    decay_epochs: list = field(default_factory=list)
+    decay_epochs: list[int] = field(default_factory=list)
     decay_factor: float = 10.0
 
     def __post_init__(self):

@@ -85,7 +85,7 @@ class TestMalformedConfig:
         ("train", lambda cfg: [cfg], "config must be a JSON object, got list"),
         ("train", update("sgd", nesterov=True), "unknown sgd keys: ['nesterov']"),
         ("train", lambda cfg: {**cfg, "seeds": None}, "seeds must be a list of ints, got None"),
-        ("eval", drop("ood", "inner_radius"), "ring spec is missing 'inner_radius'"),
+        ("train", drop("ood", "inner_radius"), "ring spec is missing 'inner_radius'"),
         ("train", lambda cfg: {**cfg, "in_distribution": [1]},
          "in_distribution must be an object, got [1]"),
         ("train", update("sgd", epochs="two"), "sgd.epochs must be an int, got 'two'"),
@@ -166,6 +166,30 @@ class TestMalformedConfig:
     ], ids=["train_classes_string", "infinite_entropic_scale", "nan_learning_rate"])
     def test_rejected_before_training(self, config_path, capsys, monkeypatch, overrides,
                                       message):
+        trained = []
+        monkeypatch.setattr(experiment, "fit", lambda *args: trained.append(args))
+        assert cli_main(["train", "--config", str(config_path(**overrides))]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert trained == []
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"ood": [{"kind": "ring", "inner_radius": 8.0, "outer_radius": 12.0, "n": 0}]},
+         "ring spec key 'n' of an OOD set must be at least 1, got 0"),
+        ({"ood": [{"name": "held", "kind": "heldout"}]},
+         "an OOD spec of kind 'heldout' needs in_distribution.train_classes"),
+        ({"in_distribution": {"kind": "blobs", "classes": 3, "dim": 3,
+                              "centers_radius": 4.0, "sigma": 0.5, "n_per_class": 40}},
+         "unknown blobs spec keys: ['dim']"),
+        ({"ood": [{"name": "same", "kind": "ring", "inner_radius": 8.0,
+                   "outer_radius": 12.0, "n": 60},
+                  {"name": "same", "kind": "uniform", "low": -12.0, "high": 12.0, "n": 60}]},
+         "OOD set name 'same' is used twice"),
+        ({"ood": [{"name": "../x", "kind": "uniform", "low": -1.0, "high": 1.0, "n": 60}]},
+         "OOD set name '../x' must be a plain file name component"),
+    ], ids=["ood_n_zero", "heldout_without_train_classes", "blobs_dim_typo",
+            "repeated_ood_name", "ood_name_with_slash"])
+    def test_bad_data_spec_rejected_before_training(self, config_path, capsys, monkeypatch,
+                                                    overrides, message):
         trained = []
         monkeypatch.setattr(experiment, "fit", lambda *args: trained.append(args))
         assert cli_main(["train", "--config", str(config_path(**overrides))]) == 1

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from oodkit.data import (
+    SPEC_KINDS,
     BatchStream,
     Dataset,
     IdxParseError,
+    check_spec,
     dataset_from_spec,
     gaussian_blobs,
     load_csv,
@@ -82,6 +84,17 @@ class TestOodGenerators:
     def test_ring_requires_2d(self):
         with pytest.raises(ContractViolation):
             ood_ring(1.0, 2.0, 10, seed=0, dims=3)
+
+    @pytest.mark.parametrize("build", [
+        lambda: ood_uniform(2, -1.0, 1.0, -3, 0),
+        lambda: ood_uniform(2, -1e308, 1e308, 3, 0),
+        lambda: ood_ring(1.0, 2.0, -3, 0),
+        lambda: ood_ring(8.0, 1e308, 3, 0),
+    ], ids=["uniform_negative_n", "uniform_overflowing_range", "ring_negative_n",
+            "ring_overflowing_radius"])
+    def test_bad_arguments_are_contract_violations(self, build):
+        with pytest.raises(ContractViolation):
+            build()
 
 
 class TestIdx:
@@ -243,6 +256,14 @@ class TestCsv:
             load_csv(path)
         assert str(info.value) == f"{path}:3: {message}"
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_non_finite_field_names_path_line_and_field(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"label,f0,f1\n0,0.5,1.5\n1,{text},2.0\n")
+        with pytest.raises(ContractViolation) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}:3: field 'f0' must be finite, got {text!r}"
+
 
 class TestDatasetFromSpec:
     def test_blobs_spec(self):
@@ -273,4 +294,56 @@ class TestDatasetFromSpec:
     def test_missing_or_malformed_key_names_kind_and_key(self, spec, message):
         with pytest.raises(ContractViolation) as info:
             dataset_from_spec(spec, seed=0)
+        assert str(info.value) == message
+
+    def test_heldout_spec_builds_nothing_on_its_own(self):
+        with pytest.raises(ContractViolation, match="train_classes"):
+            dataset_from_spec({"kind": "heldout"}, seed=0)
+
+
+RING = {"kind": "ring", "inner_radius": 8.0, "outer_radius": 12.0, "n": 5}
+
+
+class TestCheckSpec:
+    def test_fills_defaults_and_drops_name_and_train_classes(self):
+        assert check_spec({**RING, "name": "r"}) == {
+            "inner_radius": 8.0, "outer_radius": 12.0, "n": 5, "dims": 2}
+        assert check_spec({"kind": "blobs", "classes": 4, "centers_radius": 4,
+                           "sigma": 1, "n_per_class": 3, "train_classes": 2}) == {
+            "classes": 4, "dims": 2, "centers_radius": 4.0, "sigma": 1.0, "n_per_class": 3}
+
+    def test_every_kind_has_a_builder_and_typed_keys(self):
+        assert set(SPEC_KINDS) == {"blobs", "uniform", "ring", "idx", "csv", "heldout"}
+        for builder, keys in SPEC_KINDS.values():
+            assert callable(builder)
+            assert all(json_type in (int, float, str) for json_type, _ in keys.values())
+
+    @pytest.mark.parametrize("spec, message", [
+        ({**RING, "dim": 3}, "unknown ring spec keys: ['dim']"),
+        ({**RING, "kind": []}, "unknown data spec kind []"),
+        ({**RING, "kind": {}}, "unknown data spec kind {}"),
+        ({**RING, "kind": None}, "unknown data spec kind None"),
+        ({**RING, "n": 5.5}, "ring spec key 'n' must be int, got 5.5"),
+        ({**RING, "n": "5"}, "ring spec key 'n' must be int, got '5'"),
+        ({**RING, "n": True}, "ring spec key 'n' must be int, got True"),
+        ({**RING, "n": -1}, "ring spec key 'n' must be nonnegative, got -1"),
+        ({**RING, "inner_radius": float("nan")},
+         "ring spec key 'inner_radius' must be float, got nan"),
+        ({**RING, "outer_radius": float("inf")},
+         "ring spec key 'outer_radius' must be float, got inf"),
+        ({**RING, "inner_radius": -float("inf")},
+         "ring spec key 'inner_radius' must be float, got -inf"),
+        ({**RING, "inner_radius": 0}, "ring spec key 'inner_radius' must be positive, got 0"),
+        ({**RING, "dims": 0}, "ring spec key 'dims' must be positive, got 0"),
+        ({**RING, "name": 3}, "ring spec key 'name' must be str, got 3"),
+        ({"kind": "idx", "images": "a"}, "idx spec is missing 'labels'"),
+        ({"kind": "csv", "path": 1}, "csv spec key 'path' must be str, got 1"),
+        ({"kind": "heldout", "n": 3}, "unknown heldout spec keys: ['n']"),
+    ], ids=["unknown_key", "list_kind", "object_kind", "null_kind", "float_count",
+            "string_count", "bool_count", "negative_count", "nan", "inf", "minus_inf",
+            "zero_radius", "zero_dims", "int_name", "missing_labels", "int_path",
+            "heldout_with_n"])
+    def test_rejects_naming_kind_and_key(self, spec, message):
+        with pytest.raises(ContractViolation) as info:
+            check_spec(spec)
         assert str(info.value) == message

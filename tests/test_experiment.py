@@ -114,6 +114,19 @@ class TestRunExperiment:
         report = run_experiment(tiny_config(seeds=[3]))
         assert report.aggregate["accuracy"]["std"] == 0.0
 
+    def test_aggregate_rows_follow_config_order(self):
+        cfg = tiny_config(ood=[
+            {"name": "near", "kind": "ring", "inner_radius": 3.0, "outer_radius": 5.0, "n": 40},
+            {"kind": "uniform", "low": -12.0, "high": 12.0, "n": 40}])
+        report = run_experiment(cfg)
+        rows = report.aggregate["detection"]
+        assert [(r["ood"], r["score"]) for r in rows] == [
+            (name, kind) for name in ("near", "uniform_1") for kind in cfg.score_kinds]
+        for i, row in enumerate(rows):
+            per_seed = [record["ood_evaluations"][i // 2]["metrics"][i % 2]["auroc"]
+                        for record in report.per_seed]
+            assert row["auroc"]["mean"] == np.mean(per_seed)
+
     def test_heldout_class_protocol(self):
         cfg = tiny_config(
             in_distribution={"kind": "blobs", "classes": 4, "dims": 2,
