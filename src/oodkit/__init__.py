@@ -17,7 +17,6 @@ from .heads import (
     HeadGradients,
     IsoMaxHead,
     IsoMaxPlusHead,
-    LabeledBatch,
     SoftMaxHead,
     backward,
     forward_logits,
@@ -49,6 +48,7 @@ from .model import (
     backbone_forward,
     fit,
     forward_trace,
+    loss_and_gradients,
     make_backbone,
     make_train_state,
     sgd_step,

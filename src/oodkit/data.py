@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .heads import LabeledBatch
-from .numerics import ContractViolation, as_matrix
+from .numerics import ContractViolation, as_labels, as_matrix
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
@@ -38,7 +37,7 @@ class Dataset:
         if self.inputs.ndim != 2:
             raise ContractViolation(f"inputs must be 2-D, got shape {self.inputs.shape}")
         if self.targets is not None:
-            self.targets = np.asarray(self.targets, dtype=np.int64)
+            self.targets = as_labels(self.targets)
             if len(self.targets) != len(self.inputs):
                 raise ContractViolation("targets length must match input rows")
             if len(self.targets) and self.targets.min() < 0:
@@ -71,6 +70,23 @@ def _class_centers(classes: int, dims: int, radius: float,
     return radius * dirs
 
 
+# kind -> (the spec key that sets the set's size, the keys whose values
+# are the dimensions of its largest array).
+SIZE_KEYS = {"blobs": ("n_per_class", ("classes", "n_per_class", "dims")),
+             "uniform": ("n", ("n", "dims")), "ring": ("n", ("n", "dims"))}
+
+
+def _check_size(kind: str, args: dict):
+    """Reject a set whose arrays numpy cannot index, before any is built;
+    the sizes multiply as Python ints, which cannot overflow."""
+    key, keys = SIZE_KEYS[kind]
+    sizes = [int(args[k]) for k in keys]
+    limit = np.iinfo(np.intp).max
+    if max(*sizes, math.prod(sizes)) > limit:
+        raise ContractViolation(f"{kind} spec key {key!r} asks for more than {limit} "
+                                f"elements, got {args[key]}")
+
+
 def gaussian_blobs(classes: int, dims: int, centers_radius: float, sigma: float,
                    n_per_class: int, seed) -> Dataset:
     """Labeled isotropic Gaussian clusters around evenly placed centers."""
@@ -80,6 +96,7 @@ def gaussian_blobs(classes: int, dims: int, centers_radius: float, sigma: float,
         raise ContractViolation("sigma must be positive")
     if dims < 1 or n_per_class < 1:
         raise ContractViolation("dims and n_per_class must be positive")
+    _check_size("blobs", {"classes": classes, "n_per_class": n_per_class, "dims": dims})
     rng = np.random.default_rng(seed)
     centers = _class_centers(classes, dims, centers_radius, rng)
     inputs = np.repeat(centers, n_per_class, axis=0)
@@ -96,6 +113,7 @@ def ood_uniform(dims: int, low: float, high: float, n: int, seed) -> Dataset:
         raise ContractViolation(f"need low < high with a finite high - low, got [{low}, {high}]")
     if dims < 0 or n < 0:
         raise ContractViolation("dims and n must be nonnegative")
+    _check_size("uniform", {"n": n, "dims": dims})
     rng = np.random.default_rng(seed)
     inputs = rng.uniform(low, high, size=(n, dims))
     return Dataset(inputs, None, f"uniform(low={low}, high={high}, n={n})")
@@ -116,6 +134,7 @@ def ood_ring(inner_radius: float, outer_radius: float, n: int, seed,
                                 "outer_radius ** 2")
     if n < 0:
         raise ContractViolation("n must be nonnegative")
+    _check_size("ring", {"n": n, "dims": dims})
     rng = np.random.default_rng(seed)
     theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
     radius = np.sqrt(rng.uniform(inner_radius ** 2, outer_radius ** 2, size=n))
@@ -278,14 +297,14 @@ class BatchStream:
         self.batch_size = int(batch_size)
         self.seed = seed
 
-    def for_epoch(self, epoch: int):
+    def for_epoch(self, epoch: int) -> list:
+        """The epoch's batches as (inputs, targets) pairs."""
         rng = np.random.default_rng(_stream(self.seed, epoch))
         perm = rng.permutation(len(self.dataset))
         batches = []
         for start in range(0, len(perm), self.batch_size):
             index = perm[start:start + self.batch_size]
-            batches.append(LabeledBatch(self.dataset.inputs[index],
-                                        self.dataset.targets[index]))
+            batches.append((self.dataset.inputs[index], self.dataset.targets[index]))
         return batches
 
 
@@ -341,7 +360,8 @@ def check_spec(spec) -> dict:
     """The builder arguments of a data spec, defaults filled in.
 
     Raises a ContractViolation naming the kind and the key on an unknown
-    kind or key, a missing key, or a value of the wrong JSON type or sign.
+    kind or key, a missing key, a value of the wrong JSON type or sign, or
+    a set too large for numpy to index.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ContractViolation("data spec must be a mapping with a 'kind' key")
@@ -360,6 +380,8 @@ def check_spec(spec) -> dict:
             raise ContractViolation(f"{kind} spec is missing {key!r}")
         else:
             args[key] = default
+    if kind in SIZE_KEYS:
+        _check_size(kind, args)
     return {key: args[key] for key in keys}
 
 

@@ -1,9 +1,9 @@
 """Central finite-difference verification of every analytic gradient.
 
 The suite draws small random instances, compares heads.backward and
-model.backbone_backward against central differences of the actual
-training loss, and reports the worst guarded relative error. Each
-instance is checked once, by heads.backward and one heads.training_loss
+model.loss_and_gradients, the gradient that sgd_step applies, against
+central differences of the actual training loss, and reports the worst
+guarded relative error. Each instance is checked once, by the gradient
 call; the finite differences then evaluate the unchecked heads._mean_loss,
 the same arithmetic without the checks. Instances
 too close to a nondifferentiable or near-singular point (a rectifier
@@ -139,7 +139,6 @@ def check_head_instance(kind: str, rng: np.random.Generator,
     """Worst relative error across every gradient of one random instance."""
     head, features, targets = _draw_instance(kind, rng)
     grads = heads.backward(head, features, targets)
-    heads.training_loss(head, features, targets)  # the checks _mean_loss skips
     numeric = finite_difference(
         lambda f: heads._mean_loss(head, f, targets), features, h)
     return max(relative_error(grads.d_features, numeric), _check_in_place(
@@ -172,13 +171,11 @@ def check_backbone_instance(rng: np.random.Generator,
     else:
         raise RuntimeError("could not draw a differentiable backbone instance")
 
-    hg = heads.backward(head, features, targets)
-    heads.training_loss(head, features, targets)  # the checks _mean_loss skips
-    bg = model.backbone_backward(backbone, trace, hg.d_features)
     state = model.TrainState(backbone=backbone, head=head, velocities={})
+    _, grads = model.loss_and_gradients(state, inputs, targets)
     return _check_in_place(
         [(name, p) for name, p in model.named_parameters(state) if name.startswith("backbone.")],
-        model.named_gradients(bg, hg),
+        grads,
         lambda: heads._mean_loss(head, model.backbone_forward(backbone, inputs), targets), h)
 
 

@@ -26,6 +26,7 @@ from .numerics import (
     _normalize_rows,
     _pairwise,
     _softmax_rows,
+    as_labels,
     as_matrix,
     pairwise_euclidean,
     shannon_entropy_rows,
@@ -231,22 +232,6 @@ DISTANCE_HEAD_KINDS = ("isomax", "isomaxplus")
 
 
 @dataclass
-class LabeledBatch:
-    """Feature rows paired with integer class targets."""
-
-    features: np.ndarray
-    targets: np.ndarray
-
-    def __post_init__(self):
-        self.features = as_matrix(self.features, "features")
-        self.targets = np.asarray(self.targets, dtype=np.int64)
-        if self.targets.ndim != 1 or len(self.targets) != len(self.features):
-            raise ContractViolation("targets must be a 1-D vector matching the feature rows")
-        if len(self.targets) < 1:
-            raise ContractViolation("a batch needs at least one example")
-
-
-@dataclass
 class HeadGradients:
     """Gradients of the mean batch loss: d_features with respect to the
     input features, and params keyed by the head's `parameters` names,
@@ -266,7 +251,7 @@ def _check_features(head: ClassifierHead, features) -> np.ndarray:
 
 
 def _check_targets(head: ClassifierHead, targets, n: int) -> np.ndarray:
-    targets = np.asarray(targets, dtype=np.int64)
+    targets = as_labels(targets)
     if targets.ndim != 1 or len(targets) != n:
         raise ContractViolation("targets must be a 1-D vector matching the feature rows")
     if targets.size and (targets.min() < 0 or targets.max() >= head.classes):

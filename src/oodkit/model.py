@@ -15,7 +15,7 @@ import numpy as np
 
 from . import heads
 from .data import BatchStream
-from .heads import ClassifierHead, HeadGradients, LabeledBatch
+from .heads import ClassifierHead
 from .numerics import ContractViolation, as_matrix
 
 INIT_STREAM = 1
@@ -152,32 +152,25 @@ def forward_trace(b: MlpBackbone, inputs):
     return h, layer_inputs, preacts
 
 
-@dataclass
-class BackboneGradients:
-    d_weights: list
-    d_biases: list
-
-
-def backbone_backward(b: MlpBackbone, trace, d_features) -> BackboneGradients:
+def backbone_backward(b: MlpBackbone, trace, d_features) -> dict:
     """Exact parameter gradients by the chain rule, from the forward_trace
-    of the same backbone on the batch.
+    of the same backbone on the batch, keyed backbone.w{i} and
+    backbone.b{i} like named_parameters.
 
     The rectifier uses subgradient 0 at exactly zero input. Inputs are
     data, not parameters, so nothing flows upstream of layer 0.
     """
     _, layer_inputs, preacts = trace
-    d_features = np.asarray(d_features, dtype=np.float64)
-    d_weights = [None] * len(b.weights)
-    d_biases = [None] * len(b.weights)
-    delta = d_features
+    grads = {}
+    delta = np.asarray(d_features, dtype=np.float64)
     for i in range(len(b.weights) - 1, -1, -1):
         if i != len(b.weights) - 1:
             delta = delta * (preacts[i] > 0.0)
-        d_weights[i] = delta.T @ layer_inputs[i]
-        d_biases[i] = delta.sum(axis=0)
+        grads[f"backbone.w{i}"] = delta.T @ layer_inputs[i]
+        grads[f"backbone.b{i}"] = delta.sum(axis=0)
         if i > 0:
             delta = delta @ b.weights[i]
-    return BackboneGradients(d_weights=d_weights, d_biases=d_biases)
+    return grads
 
 
 def nesterov_update(param: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
@@ -209,32 +202,42 @@ def named_parameters(state: TrainState) -> list:
     return entries + [(f"head.{name}", getattr(head, name)) for name in head.parameters]
 
 
-def named_gradients(bg: BackboneGradients, hg: HeadGradients) -> dict:
-    """The gradients of one step keyed by their named_parameters names."""
-    grads = {}
-    for i, (dw, db) in enumerate(zip(bg.d_weights, bg.d_biases)):
-        grads[f"backbone.w{i}"], grads[f"backbone.b{i}"] = dw, db
+def loss_and_gradients(state: TrainState, inputs, targets):
+    """The mean training loss of a batch and its gradient, as (loss, grads)
+    with grads keyed by the named_parameters names.
+
+    One forward pass feeds the checked heads.training_loss and
+    heads.backward, then backbone_backward.
+    """
+    trace = forward_trace(state.backbone, inputs)
+    features = trace[0]
+    loss = heads.training_loss(state.head, features, targets)
+    hg = heads.backward(state.head, features, targets)
+    grads = backbone_backward(state.backbone, trace, hg.d_features)
     grads.update((f"head.{name}", g) for name, g in hg.params.items())
-    return grads
+    return loss, grads
 
 
-def sgd_step(state: TrainState, batch: LabeledBatch, cfg: SgdConfig,
+def sgd_step(state: TrainState, inputs, targets, cfg: SgdConfig,
              lr: float | None = None, epoch: int | None = None,
              batch_index: int | None = None) -> float:
-    """One optimizer step over a batch; returns the pre-update loss.
+    """One optimizer step over a batch of inputs and integer targets;
+    returns the pre-update loss.
 
     Raises TrainingDiverged, naming the epoch and the batch, when the
-    forward features or the loss stop being finite.
+    forward features or the loss stop being finite; the state is then
+    left as it was.
     """
     lr = cfg.learning_rate if lr is None else lr
-    trace = forward_trace(state.backbone, batch.features)
-    features = trace[0]
+    if np.size(targets) == 0:
+        raise ContractViolation("a batch needs at least one example")
     try:
-        loss = heads.training_loss(state.head, features, batch.targets)
+        loss, grads = loss_and_gradients(state, inputs, targets)
     except ContractViolation:
-        # training_loss rejects non-finite features; here they mean the
-        # parameters have grown until the forward pass overflowed.
-        if np.isfinite(features).all():
+        # training_loss rejects non-finite features. From inputs that
+        # forward_trace accepts, they mean the parameters have grown until
+        # the forward pass overflowed; inputs it rejects fail again here.
+        if np.isfinite(backbone_forward(state.backbone, inputs)).all():
             raise
         raise TrainingDiverged(
             f"non-finite features at epoch {epoch} batch {batch_index}",
@@ -245,8 +248,6 @@ def sgd_step(state: TrainState, batch: LabeledBatch, cfg: SgdConfig,
             f"non-finite loss {loss} at epoch {epoch} batch {batch_index}",
             epoch=epoch, batch_index=batch_index,
         )
-    hg = heads.backward(state.head, features, batch.targets)
-    grads = named_gradients(backbone_backward(state.backbone, trace, hg.d_features), hg)
     for name, param in named_parameters(state):
         velocity = state.velocities.get(name)
         if velocity is None:
@@ -272,8 +273,9 @@ def fit(state: TrainState, stream: BatchStream, cfg: SgdConfig, callbacks=None):
         losses = []
         # sgd_step reports an overflow as TrainingDiverged, not as a warning.
         with np.errstate(over="ignore", invalid="ignore"):
-            for bi, batch in enumerate(stream.for_epoch(epoch)):
-                losses.append(sgd_step(state, batch, cfg, lr=lr, epoch=epoch, batch_index=bi))
+            for bi, (inputs, targets) in enumerate(stream.for_epoch(epoch)):
+                losses.append(sgd_step(state, inputs, targets, cfg, lr=lr, epoch=epoch,
+                                       batch_index=bi))
         state.epoch = epoch
         features = backbone_forward(state.backbone, stream.dataset.inputs)
         predictions = heads.predict(state.head, features)

@@ -35,6 +35,19 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def as_labels(values) -> np.ndarray:
+    """Coerce targets to int64 class labels, raising ContractViolation
+    unless every value is a whole number that int64 holds (1.0 passes, 0.5
+    and NaN do not). Integer input is not copied."""
+    m = np.asarray(values)
+    if m.dtype.kind not in "iub":
+        f = m.astype(np.float64)
+        # Checked before the cast, which would warn on a non-finite value.
+        if not np.all(np.isfinite(f) & (f == np.round(f)) & (np.abs(f) < 2.0 ** 63)):
+            raise ContractViolation("targets must be whole numbers")
+    return np.asarray(m, dtype=np.int64)
+
+
 def row_normalize(m, eps: float = NORM_EPS) -> np.ndarray:
     """Scale each row to unit 2-norm.
 

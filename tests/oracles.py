@@ -231,28 +231,27 @@ def _backbone_backward_oracle(b, inputs, d_features):
     """The backbone backward that runs the forward pass again."""
     _, layer_inputs, preacts = _backbone_trace_oracle(b, inputs)
     d_features = np.asarray(d_features, dtype=np.float64)
-    d_weights = [None] * len(b.weights)
-    d_biases = [None] * len(b.weights)
+    grads = {}
     delta = d_features
     for i in range(len(b.weights) - 1, -1, -1):
         if i != len(b.weights) - 1:
             delta = delta * (preacts[i] > 0.0)
-        d_weights[i] = delta.T @ layer_inputs[i]
-        d_biases[i] = delta.sum(axis=0)
+        grads[f"backbone.w{i}"] = delta.T @ layer_inputs[i]
+        grads[f"backbone.b{i}"] = delta.sum(axis=0)
         if i > 0:
             delta = delta @ b.weights[i]
-    return model.BackboneGradients(d_weights=d_weights, d_biases=d_biases)
+    return grads
 
 
-def sgd_step_oracle(state, batch, cfg, lr=None):
+def sgd_step_oracle(state, inputs, targets, cfg, lr=None):
     """One optimizer step with two backbone forward passes; returns the
     pre-update loss and updates state in place like model.sgd_step."""
     lr = cfg.learning_rate if lr is None else lr
-    features = _backbone_trace_oracle(state.backbone, batch.features)[0]
-    loss = training_loss_oracle(state.head, features, batch.targets)
-    hg = head_backward_oracle(state.head, features, batch.targets)
-    bg = _backbone_backward_oracle(state.backbone, batch.features, hg.d_features)
-    grads = model.named_gradients(bg, hg)
+    features = _backbone_trace_oracle(state.backbone, inputs)[0]
+    loss = training_loss_oracle(state.head, features, targets)
+    hg = head_backward_oracle(state.head, features, targets)
+    grads = _backbone_backward_oracle(state.backbone, inputs, hg.d_features)
+    grads.update((f"head.{name}", g) for name, g in hg.params.items())
     for name, param in model.named_parameters(state):
         velocity = state.velocities.get(name)
         if velocity is None:
@@ -304,11 +303,10 @@ def _check_backbone_instance_oracle(rng, h):
         raise RuntimeError("could not draw a differentiable backbone instance")
 
     hg = heads.backward(head, features, targets)
-    bg = model.backbone_backward(backbone, trace, hg.d_features)
     state = model.TrainState(backbone=backbone, head=head, velocities={})
     return gradcheck._check_in_place(
         [(name, p) for name, p in model.named_parameters(state) if name.startswith("backbone.")],
-        model.named_gradients(bg, hg),
+        model.backbone_backward(backbone, trace, hg.d_features),
         lambda: heads.training_loss(head, model.backbone_forward(backbone, inputs), targets), h)
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from oodkit import experiment
+from oodkit import data, experiment
 from oodkit.cli import cli_main
 from oodkit.data import BatchStream
 
@@ -186,8 +186,12 @@ class TestMalformedConfig:
          "OOD set name 'same' is used twice"),
         ({"ood": [{"name": "../x", "kind": "uniform", "low": -1.0, "high": 1.0, "n": 60}]},
          "OOD set name '../x' must be a plain file name component"),
+        ({"ood": [{"name": "ring", "kind": "ring", "inner_radius": 8.0,
+                   "outer_radius": 12.0, "n": 10**20}]},
+         "ring spec key 'n' asks for more than 9223372036854775807 elements, "
+         "got 100000000000000000000"),
     ], ids=["ood_n_zero", "heldout_without_train_classes", "blobs_dim_typo",
-            "repeated_ood_name", "ood_name_with_slash"])
+            "repeated_ood_name", "ood_name_with_slash", "ood_n_too_large"])
     def test_bad_data_spec_rejected_before_training(self, config_path, capsys, monkeypatch,
                                                     overrides, message):
         trained = []
@@ -195,6 +199,18 @@ class TestMalformedConfig:
         assert cli_main(["train", "--config", str(config_path(**overrides))]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert trained == []
+
+
+    def test_out_of_memory_exits_1_with_one_line(self, config_path, capsys, monkeypatch):
+        # A set too large for memory, faked: a real one could get the test
+        # process killed on a machine that overcommits memory.
+        def out_of_memory(**args):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setitem(data.SPEC_KINDS, "blobs", (out_of_memory, data.SPEC_KINDS["blobs"][1]))
+        assert cli_main(["train", "--config", str(config_path())]) == 1
+        assert capsys.readouterr().err == (
+            "error: out of memory: Unable to allocate 7.28 TiB for an array\n")
 
 
 class TestPublicApiOnly:

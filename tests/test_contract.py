@@ -53,7 +53,11 @@ CASES = {
     "row_normalize": lambda v: oodkit.row_normalize(matrix(v)),
     "stable_softmax_rows": lambda v: oodkit.stable_softmax_rows(matrix(v), 10.0),
     "shannon_entropy_rows": lambda v: oodkit.shannon_entropy_rows(constant(v, 2)),
-    "LabeledBatch": lambda v: oodkit.LabeledBatch(matrix(v), TARGETS),
+    "sgd_step": lambda v: oodkit.sgd_step(
+        oodkit.make_train_state([3, 4, 2], "softmax", 2, 0), matrix(v), TARGETS,
+        oodkit.SgdConfig()),
+    "loss_and_gradients": lambda v: oodkit.loss_and_gradients(
+        oodkit.make_train_state([3, 4, 2], "softmax", 2, 0), matrix(v), TARGETS),
     "max_probability_score": lambda v: oodkit.max_probability_score(constant(v, 2)),
     "entropic_score": lambda v: oodkit.entropic_score(constant(v, 2)),
     "DetectionScoreSet[in]": lambda v: oodkit.DetectionScoreSet([0.5, v], [0.1, 0.2]),

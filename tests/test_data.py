@@ -1,10 +1,13 @@
 """Data generator, IDX parsing, and batching tests."""
 
+import ast
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oodkit import data
 from oodkit.data import (
     SPEC_KINDS,
     BatchStream,
@@ -45,6 +48,11 @@ class TestGaussianBlobs:
         assert ds.inputs.shape == (21, 5)
         assert ds.class_count == 3
         np.testing.assert_array_equal(np.bincount(ds.targets), [7, 7, 7])
+
+    def test_oversized_count_names_kind_and_key(self):
+        with pytest.raises(ContractViolation,
+                           match="blobs spec key 'n_per_class' asks for more than"):
+            gaussian_blobs(2, 2, 1.0, 0.5, 10**19, 0)
 
     def test_single_class_rejected(self):
         with pytest.raises(ContractViolation):
@@ -94,6 +102,17 @@ class TestOodGenerators:
             "ring_overflowing_radius"])
     def test_bad_arguments_are_contract_violations(self, build):
         with pytest.raises(ContractViolation):
+            build()
+
+    @pytest.mark.parametrize("build, kind", [
+        (lambda: ood_uniform(2, -1.0, 1.0, 10**20, 0), "uniform"),
+        (lambda: ood_uniform(0, -1.0, 1.0, 10**20, 0), "uniform"),
+        (lambda: ood_ring(1.0, 2.0, 10**20, 0), "ring"),
+        (lambda: ood_ring(1.0, 2.0, 2**62, 0), "ring"),
+    ], ids=["uniform", "uniform_zero_dims", "ring", "ring_product"])
+    def test_oversized_count_names_kind_and_key(self, build, kind):
+        # The count is rejected before anything is allocated.
+        with pytest.raises(ContractViolation, match=f"{kind} spec key 'n' asks for more than"):
             build()
 
 
@@ -180,13 +199,13 @@ class TestSplitAndBatch:
         ds = self.dataset()
         stream, val = split_and_batch(ds, 0.25, 8, seed=1)
         batches = stream.for_epoch(4)
-        rows = np.concatenate([b.features for b in batches])
+        rows = np.concatenate([inputs for inputs, _ in batches])
         assert len(rows) == len(stream.dataset)
         # multiset equality by sorting rows lexicographically
         np.testing.assert_array_equal(
             np.sort(rows.view([("", rows.dtype)] * 3), axis=0),
             np.sort(stream.dataset.inputs.view([("", rows.dtype)] * 3), axis=0))
-        sizes = [len(b.targets) for b in batches]
+        sizes = [len(targets) for _, targets in batches]
         assert sizes == [8, 8, 8, 4]  # final partial batch kept
 
     def test_split_is_disjoint_and_complete(self):
@@ -202,15 +221,15 @@ class TestSplitAndBatch:
         ds = self.dataset()
         a, _ = split_and_batch(ds, 0.2, 8, seed=3)
         b, _ = split_and_batch(ds, 0.2, 8, seed=3)
-        for ba, bb in zip(a.for_epoch(2), b.for_epoch(2)):
-            np.testing.assert_array_equal(ba.features, bb.features)
-            np.testing.assert_array_equal(ba.targets, bb.targets)
+        for (inputs_a, targets_a), (inputs_b, targets_b) in zip(a.for_epoch(2), b.for_epoch(2)):
+            np.testing.assert_array_equal(inputs_a, inputs_b)
+            np.testing.assert_array_equal(targets_a, targets_b)
 
     def test_epochs_reshuffle(self):
         ds = self.dataset()
         stream, _ = split_and_batch(ds, 0.0, 8, seed=4)
-        e1 = np.concatenate([b.features for b in stream.for_epoch(1)])
-        e2 = np.concatenate([b.features for b in stream.for_epoch(2)])
+        e1 = np.concatenate([inputs for inputs, _ in stream.for_epoch(1)])
+        e2 = np.concatenate([inputs for inputs, _ in stream.for_epoch(2)])
         assert not np.array_equal(e1, e2)
 
     def test_zero_batch_size_rejected(self):
@@ -347,3 +366,43 @@ class TestCheckSpec:
         with pytest.raises(ContractViolation) as info:
             check_spec(spec)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("spec, key", [
+        ({**RING, "n": 10**20}, "'n'"),
+        ({"kind": "uniform", "low": 0.0, "high": 1.0, "n": 2**62}, "'n'"),
+        ({"kind": "blobs", "classes": 4, "centers_radius": 4.0, "sigma": 1.0,
+          "n_per_class": 2**61}, "'n_per_class'"),
+    ], ids=["ring", "uniform_product", "blobs_product"])
+    def test_rejects_a_set_too_large_to_index(self, spec, key):
+        with pytest.raises(ContractViolation,
+                           match=f"{spec['kind']} spec key {key} asks for more than "
+                                 f"{np.iinfo(np.intp).max} elements"):
+            check_spec(spec)
+        check_spec({**spec, key.strip("'"): 5})
+
+
+class TestDataset:
+    @pytest.mark.parametrize("targets", [[0.5, 1.5], [0.0, np.nan], [np.inf, 1.0],
+                                         [0.0, -np.inf]], ids=["fraction", "nan", "inf", "-inf"])
+    def test_non_integer_targets_rejected(self, targets):
+        with pytest.raises(ContractViolation, match="targets must be whole numbers"):
+            Dataset(np.zeros((2, 2)), targets)
+
+    def test_whole_valued_float_targets_pass(self):
+        targets = Dataset(np.zeros((2, 2)), [1.0, 0.0]).targets
+        assert targets.dtype == np.int64
+        np.testing.assert_array_equal(targets, [1, 0])
+
+
+def test_data_imports_no_oodkit_module_but_numerics():
+    # data sits below heads and model: a batch is an (inputs, targets) pair.
+    tree = ast.parse(Path(data.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            imported |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("oodkit"):
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names if a.name.startswith("oodkit")}
+    assert imported == {"numerics"}

@@ -42,15 +42,14 @@ def normalize_backward_without_projection(raw, unit, d_unit):
 def backbone_backward_without_mask(b, trace, d_features):
     """model.backbone_backward with the rectifier mask dropped."""
     _, layer_inputs, _ = trace
-    d_weights = [None] * len(b.weights)
-    d_biases = [None] * len(b.weights)
+    grads = {}
     delta = np.asarray(d_features, dtype=np.float64)
     for i in range(len(b.weights) - 1, -1, -1):
-        d_weights[i] = delta.T @ layer_inputs[i]
-        d_biases[i] = delta.sum(axis=0)
+        grads[f"backbone.w{i}"] = delta.T @ layer_inputs[i]
+        grads[f"backbone.b{i}"] = delta.sum(axis=0)
         if i > 0:
             delta = delta @ b.weights[i]
-    return model.BackboneGradients(d_weights=d_weights, d_biases=d_biases)
+    return grads
 
 
 def flip_distance_scale_sign(monkeypatch):
@@ -65,7 +64,18 @@ def flip_distance_scale_sign(monkeypatch):
     monkeypatch.setattr(heads, "backward", flipped)
 
 
+def double_the_step_gradient(monkeypatch):
+    loss_and_gradients = model.loss_and_gradients
+
+    def doubled(state, inputs, targets):
+        loss, grads = loss_and_gradients(state, inputs, targets)
+        return loss, {name: 2.0 * g for name, g in grads.items()}
+
+    monkeypatch.setattr(model, "loss_and_gradients", doubled)
+
+
 BUGS = {
+    "step_gradient_doubled": double_the_step_gradient,
     "distance_scale_sign_flipped": flip_distance_scale_sign,
     "mean_without_1_over_n": lambda mp: mp.setattr(
         heads, "_loss_grad_wrt_logits",
@@ -100,8 +110,8 @@ def test_the_copies_match_the_originals():
     trace = model.forward_trace(backbone, inputs)
     expected = model.backbone_backward(backbone, trace, d_features)
     got = backbone_backward_without_mask(backbone, trace, d_features)
-    np.testing.assert_array_equal(got.d_weights[0], expected.d_weights[0])
-    np.testing.assert_array_equal(got.d_biases[0], expected.d_biases[0])
+    np.testing.assert_array_equal(got["backbone.w0"], expected["backbone.w0"])
+    np.testing.assert_array_equal(got["backbone.b0"], expected["backbone.b0"])
 
 
 @pytest.mark.parametrize("bug", sorted(BUGS))

@@ -109,6 +109,15 @@ class TestTrainingLoss:
         with pytest.raises(ContractViolation):
             training_loss(head, [[1.0, 2.0]], [2])
 
+    @pytest.mark.parametrize("targets", [[0.9, 1.0], [0.0, np.nan], [np.inf, 1.0],
+                                         [0.0, -np.inf]], ids=["fraction", "nan", "inf", "-inf"])
+    def test_non_integer_targets_rejected(self, targets):
+        head = IsoMaxHead.initial(2, 2, np.random.default_rng(0))
+        features = [[1.0, 2.0], [0.5, -1.0]]
+        with pytest.raises(ContractViolation, match="targets must be whole numbers"):
+            training_loss(head, features, targets)
+        assert training_loss(head, features, [1.0, 0.0]) == training_loss(head, features, [1, 0])
+
     def test_underflow_clamped_to_finite_loss(self):
         head = IsoMaxHead(prototypes=np.array([[0.0, 0.0], [40.0, 0.0]]))
         loss = training_loss(head, [[40.0, 0.0]], [0])  # target 400 nats away

@@ -15,8 +15,10 @@ from oodkit.model import (
     backbone_forward,
     fit,
     forward_trace,
+    loss_and_gradients,
     make_backbone,
     make_train_state,
+    named_parameters,
     nesterov_update,
     sgd_step,
 )
@@ -56,7 +58,7 @@ class TestBackboneBackward:
         b = make_backbone([3, 4, 2], np.random.default_rng(1))
         x = np.random.default_rng(2).standard_normal((5, 3))
         grads = backbone_backward(b, forward_trace(b, x), np.zeros((5, 2)))
-        for g in grads.d_weights + grads.d_biases:
+        for g in grads.values():
             np.testing.assert_array_equal(g, 0.0)
 
     def test_finite_difference_spot_checks(self):
@@ -69,7 +71,7 @@ class TestBackboneBackward:
         b = MlpBackbone(weights=[np.array([[1.0]]), np.array([[1.0]])],
                         biases=[np.zeros(1), np.zeros(1)])
         grads = backbone_backward(b, forward_trace(b, [[0.0]]), np.array([[1.0]]))
-        np.testing.assert_array_equal(grads.d_weights[0], [[0.0]])
+        np.testing.assert_array_equal(grads["backbone.w0"], [[0.0]])
 
 
 class TestNesterovUpdate:
@@ -108,19 +110,56 @@ def stream(state, ds, batch_size=64):
     return BatchStream(ds, batch_size, (state.seed, 2))
 
 
+class TestLossAndGradients:
+    @pytest.mark.parametrize("kind", heads.HEAD_KINDS)
+    def test_one_gradient_per_parameter_from_the_checked_parts(self, kind):
+        state, _ = blob_state_and_data(kind, seed=9)
+        rng = np.random.default_rng(10)
+        inputs, targets = rng.standard_normal((12, 2)), rng.integers(0, 2, size=12)
+        loss, grads = loss_and_gradients(state, inputs, targets)
+        trace = forward_trace(state.backbone, inputs)
+        hg = heads.backward(state.head, trace[0], targets)
+        assert loss == heads.training_loss(state.head, trace[0], targets)
+        expected = backbone_backward(state.backbone, trace, hg.d_features)
+        expected.update((f"head.{name}", g) for name, g in hg.params.items())
+        assert set(grads) == {name for name, _ in named_parameters(state)}
+        for name, param in named_parameters(state):
+            assert grads[name].shape == param.shape, name
+            np.testing.assert_array_equal(grads[name], expected[name], err_msg=name)
+
+
 class TestSgdStep:
     def make_batch(self, rng, n=16):
-        return heads.LabeledBatch(rng.standard_normal((n, 2)) * 3.0,
-                                  rng.integers(0, 2, size=n))
+        return rng.standard_normal((n, 2)) * 3.0, rng.integers(0, 2, size=n)
+
+    def test_empty_batch_rejected(self):
+        state, _ = blob_state_and_data("softmax")
+        before = copy.deepcopy(state)
+        with pytest.raises(ContractViolation, match="a batch needs at least one example"):
+            sgd_step(state, np.zeros((0, 2)), [], SgdConfig())
+        np.testing.assert_array_equal(state.head.weights, before.head.weights)
+        assert not state.velocities
+
+    @pytest.mark.parametrize("inputs, targets, message", [
+        ([[np.nan, 0.0]], [0], "inputs contains non-finite entries"),
+        (np.zeros((1, 3)), [0], "input width 3"),
+        (np.zeros((2, 2)), [0.5, 1.0], "targets must be whole numbers"),
+        (np.zeros((2, 2)), [0], "targets must be a 1-D vector"),
+    ], ids=["non_finite_inputs", "input_width", "fractional_target", "target_count"])
+    def test_rejected_batch_is_a_contract_violation(self, inputs, targets, message):
+        state, _ = blob_state_and_data("isomaxplus")
+        with pytest.raises(ContractViolation, match=message):
+            sgd_step(state, inputs, targets, SgdConfig())
+        assert not state.velocities
 
     def test_zero_learning_rate_keeps_parameters(self):
         state, _ = blob_state_and_data("isomaxplus")
-        batch = self.make_batch(np.random.default_rng(5))
+        inputs, targets = self.make_batch(np.random.default_rng(5))
         before = copy.deepcopy(state)
         cfg = SgdConfig(learning_rate=0.0)
-        loss = sgd_step(state, batch, cfg)
+        loss = sgd_step(state, inputs, targets, cfg)
         assert loss == heads.training_loss(
-            before.head, backbone_forward(before.backbone, batch.features), batch.targets)
+            before.head, backbone_forward(before.backbone, inputs), targets)
         for w0, w1 in zip(before.backbone.weights, state.backbone.weights):
             np.testing.assert_array_equal(w0, w1)
         np.testing.assert_array_equal(before.head.prototypes, state.head.prototypes)
@@ -134,7 +173,7 @@ class TestSgdStep:
             batch = self.make_batch(np.random.default_rng(8))
             cfg = SgdConfig(learning_rate=0.1)
             for _ in range(3):
-                sgd_step(state, batch, cfg)
+                sgd_step(state, *batch, cfg)
             results.append(state)
         a, b = results
         for w0, w1 in zip(a.backbone.weights, b.backbone.weights):
@@ -149,7 +188,7 @@ class TestSgdStep:
             batch = self.make_batch(np.random.default_rng(12), n=32)
             cfg = SgdConfig(learning_rate=0.05)
             before = copy.deepcopy(state)
-            sgd_step(state, batch, cfg)
+            sgd_step(state, *batch, cfg)
             for (w0, w1) in zip(before.backbone.weights, state.backbone.weights):
                 assert np.any(w0 != w1)
             if kind == "softmax":
@@ -163,19 +202,18 @@ class TestSgdStep:
     def test_divergence_carries_location(self):
         state, _ = blob_state_and_data("softmax")
         state.head.weights[:] = 1e300  # forces non-finite logits downstream
-        batch = heads.LabeledBatch(np.full((2, 2), 1e300), [0, 1])
-        with np.errstate(over="ignore"), pytest.raises(
-                (TrainingDiverged, ContractViolation)):
-            sgd_step(state, batch, SgdConfig(), epoch=3, batch_index=1)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                TrainingDiverged) as info:
+            sgd_step(state, np.full((2, 2), 1e300), [0, 1], SgdConfig(), epoch=3, batch_index=1)
+        assert str(info.value) == "non-finite loss nan at epoch 3 batch 1"
 
     def test_overflowing_features_raise_diverged_with_location(self):
         state, _ = blob_state_and_data("isomaxplus")
         state.backbone.weights[0][:] = 1e300  # finite, but the features overflow
         before = copy.deepcopy(state)
-        batch = heads.LabeledBatch(np.full((2, 2), 1e10), [0, 1])
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
                 TrainingDiverged, match="features at epoch 3 batch 1") as info:
-            sgd_step(state, batch, SgdConfig(), epoch=3, batch_index=1)
+            sgd_step(state, np.full((2, 2), 1e10), [0, 1], SgdConfig(), epoch=3, batch_index=1)
         assert (info.value.epoch, info.value.batch_index) == (3, 1)
         for w0, w1 in zip(before.backbone.weights, state.backbone.weights):
             np.testing.assert_array_equal(w0, w1)
@@ -190,7 +228,7 @@ class TestSgdStep:
         batch = self.make_batch(np.random.default_rng(5))
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
                 TrainingDiverged) as info:
-            sgd_step(state, batch, SgdConfig(), epoch=3, batch_index=1)
+            sgd_step(state, *batch, SgdConfig(), epoch=3, batch_index=1)
         assert str(info.value) == "non-finite loss nan at epoch 3 batch 1"
         assert (info.value.epoch, info.value.batch_index) == (3, 1)
         np.testing.assert_array_equal(getattr(state.head, name), getattr(before.head, name))

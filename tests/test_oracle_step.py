@@ -41,9 +41,10 @@ def test_sgd_steps_equal_the_oracle(kind, seed):
     twin = copy.deepcopy(state)
     rng = np.random.default_rng([seed, 51])
     for step in range(50):
-        batch = heads.LabeledBatch(rng.standard_normal((ROWS, 2)) * 2.0,
-                                   rng.integers(0, CLASSES, size=ROWS))
-        assert sgd_step(state, batch, DESK_SGD) == sgd_step_oracle(twin, batch, DESK_SGD), step
+        inputs = rng.standard_normal((ROWS, 2)) * 2.0
+        targets = rng.integers(0, CLASSES, size=ROWS)
+        assert sgd_step(state, inputs, targets, DESK_SGD) == sgd_step_oracle(
+            twin, inputs, targets, DESK_SGD), step
         for (name, got), (_, expected) in zip(named_parameters(state), named_parameters(twin)):
             np.testing.assert_array_equal(got, expected, err_msg=f"{name} at step {step}")
     assert state.velocities.keys() == twin.velocities.keys()

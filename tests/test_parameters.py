@@ -99,8 +99,8 @@ def test_sgd_step_updates_every_parameter_in_place(kind):
     before = named_parameters(state)
     values = [array.copy() for _, array in before]
     rng = np.random.default_rng(4)
-    batch = heads.LabeledBatch(rng.standard_normal((8, 2)), rng.integers(0, 3, size=8))
-    sgd_step(state, batch, SgdConfig(learning_rate=0.05))
+    sgd_step(state, rng.standard_normal((8, 2)), rng.integers(0, 3, size=8),
+             SgdConfig(learning_rate=0.05))
     after = named_parameters(state)
     for (name, old), (_, new), value in zip(before, after, values):
         assert new is old, name
