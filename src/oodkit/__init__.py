@@ -14,12 +14,10 @@ from .numerics import (
     stable_softmax_rows,
 )
 from .heads import (
-    HeadGradients,
     IsoMaxHead,
     IsoMaxPlusHead,
     SoftMaxHead,
     backward,
-    forward_logits,
     head_outputs,
     inference_probabilities,
     predict,

@@ -34,7 +34,7 @@ def _load_config(path: str, args) -> ExperimentConfig:
             raw = json.load(f)
     except OSError as exc:
         raise _UsageError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise _UsageError(f"config {path} is not valid JSON: {exc}") from exc
     if isinstance(raw, dict):  # from_dict rejects anything else in one line
         if getattr(args, "seed", None) is not None:

@@ -6,7 +6,9 @@ dataset can always be regenerated bit for bit.
 
 from __future__ import annotations
 
+import io
 import math
+import os
 import struct
 import sys
 from dataclasses import dataclass
@@ -143,12 +145,13 @@ def ood_ring(inner_radius: float, outer_radius: float, n: int, seed,
 
 
 def _read_exact(f, count: int, offset: int, path: str) -> bytes:
-    data = f.read(count)
-    if len(data) != count:
+    # Checked against the file size first, so a header that claims more
+    # than the file holds never becomes a huge allocation.
+    available = max(os.fstat(f.fileno()).st_size - offset, 0)
+    if count > available:
         raise IdxParseError(
-            f"{path}: truncated, wanted {count} bytes at byte {offset}, got {len(data)}"
-        )
-    return data
+            f"{path}: truncated, wanted {count} bytes at byte {offset}, got {available}")
+    return f.read(count)
 
 
 def load_idx(images_path, labels_path) -> Dataset:
@@ -166,6 +169,9 @@ def load_idx(images_path, labels_path) -> Dataset:
             raise IdxParseError(
                 f"{images_path}: bad magic 0x{magic:08x} at byte 0, "
                 f"expected 0x{IMAGES_MAGIC:08x}")
+        # numpy cannot shape even zero images of this size
+        if rows * cols * 8 > np.iinfo(np.intp).max:
+            raise IdxParseError(f"{images_path}: {rows} x {cols} images are too large")
         payload = _read_exact(f, count * rows * cols, 16, images_path)
         if f.read(1):
             raise IdxParseError(f"{images_path}: trailing bytes after byte {16 + len(payload)}")
@@ -230,7 +236,13 @@ def load_csv(path) -> Dataset:
     features in order.
     """
     path = str(path)
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ContractViolation(f"{path}: byte {exc.start} is not valid UTF-8") from None
+    with io.StringIO(text, newline=None) as f:
         header = f.readline().strip()
         columns = header.split(",")
         if len(columns) < 2 or columns[0] != "label":

@@ -697,6 +697,10 @@ def load_checkpoint(path, expected_head_kind: str | None = None,
                 struct.unpack("<Q", _read_exactly(f, 8, "array shape"))[0]
                 for _ in range(ndim))
             payload = _read_exactly(f, math.prod(shape) * 8, f"array {name}")
+            # An empty array reads no bytes, but numpy still bounds the
+            # bytes of its nonzero dimensions by the largest intp.
+            if math.prod(max(d, 1) for d in shape) * 8 > np.iinfo(np.intp).max:
+                raise CheckpointError(f"array {name!r} has shape {shape}, too large to index")
             arrays[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
         if f.read(1):
             raise CheckpointError("trailing bytes after the last array")

@@ -64,7 +64,7 @@ def _one_value(name: str, value) -> np.ndarray:
 # `checkpointed` names what a checkpoint stores, in file order.
 # Each class also holds what differs between kinds: `initial` (a seeded
 # fresh head), `forward` (logits, and the distances they came from or
-# None), `gradients` (HeadGradients of the mean loss) and
+# None), `gradients` (d_features, params) of the mean loss, and
 # `training_scale`. They take checked arrays and call the unchecked
 # numerics kernels; the module-level functions below are the checked
 # entry points. The distance heads' `forward` still calls the public
@@ -111,12 +111,9 @@ class SoftMaxHead:
     def forward(self, features: np.ndarray):
         return features @ self.weights.T + self.bias, None
 
-    def gradients(self, features: np.ndarray, targets: np.ndarray) -> HeadGradients:
+    def gradients(self, features: np.ndarray, targets: np.ndarray):
         g = _loss_grad_wrt_logits(self, self.forward(features)[0], targets)
-        return HeadGradients(
-            d_features=g @ self.weights,
-            params={"weights": g.T @ features, "bias": g.sum(axis=0)},
-        )
+        return g @ self.weights, {"weights": g.T @ features, "bias": g.sum(axis=0)}
 
 
 class _PrototypeHead:
@@ -161,14 +158,14 @@ class IsoMaxHead(_PrototypeHead):
         distances = pairwise_euclidean(features, self.prototypes)
         return -distances, distances
 
-    def gradients(self, features: np.ndarray, targets: np.ndarray) -> HeadGradients:
+    def gradients(self, features: np.ndarray, targets: np.ndarray):
         logits, distances = self.forward(features)
         g = _loss_grad_wrt_logits(self, logits, targets)
         # dL/dD = -g; coefficient per pair on (f_i - p_j)
         coeff = -g / np.maximum(distances, DISTANCE_GRAD_EPS)
         d_features = coeff.sum(axis=1)[:, np.newaxis] * features - coeff @ self.prototypes
         d_prototypes = coeff.sum(axis=0)[:, np.newaxis] * self.prototypes - coeff.T @ features
-        return HeadGradients(d_features=d_features, params={"prototypes": d_prototypes})
+        return d_features, {"prototypes": d_prototypes}
 
 
 @dataclass
@@ -205,7 +202,7 @@ class IsoMaxPlusHead(_PrototypeHead):
                                        _normalize_rows(self.prototypes))
         return -abs(self.distance_scale[0]) * distances, distances
 
-    def gradients(self, features: np.ndarray, targets: np.ndarray) -> HeadGradients:
+    def gradients(self, features: np.ndarray, targets: np.ndarray):
         fhat = _normalize_rows(features)
         phat = _normalize_rows(self.prototypes)
         distances = _pairwise(fhat, phat)
@@ -217,11 +214,9 @@ class IsoMaxPlusHead(_PrototypeHead):
         d_fhat = coeff.sum(axis=1)[:, np.newaxis] * fhat - coeff @ phat
         d_phat = coeff.sum(axis=0)[:, np.newaxis] * phat - coeff.T @ fhat
         d_scale_abs = -(g * distances).sum()
-        return HeadGradients(
-            d_features=_normalize_backward(features, fhat, d_fhat),
-            params={"prototypes": _normalize_backward(self.prototypes, phat, d_phat),
-                    "distance_scale": np.sign(self.distance_scale) * d_scale_abs},
-        )
+        return _normalize_backward(features, fhat, d_fhat), {
+            "prototypes": _normalize_backward(self.prototypes, phat, d_phat),
+            "distance_scale": np.sign(self.distance_scale) * d_scale_abs}
 
 
 ClassifierHead = Union[SoftMaxHead, IsoMaxHead, IsoMaxPlusHead]
@@ -229,16 +224,6 @@ ClassifierHead = Union[SoftMaxHead, IsoMaxHead, IsoMaxPlusHead]
 HEAD_CLASSES = {cls.kind: cls for cls in (SoftMaxHead, IsoMaxHead, IsoMaxPlusHead)}
 HEAD_KINDS = tuple(HEAD_CLASSES)
 DISTANCE_HEAD_KINDS = ("isomax", "isomaxplus")
-
-
-@dataclass
-class HeadGradients:
-    """Gradients of the mean batch loss: d_features with respect to the
-    input features, and params keyed by the head's `parameters` names,
-    each shaped like its parameter."""
-
-    d_features: np.ndarray
-    params: dict
 
 
 def _check_features(head: ClassifierHead, features) -> np.ndarray:
@@ -262,21 +247,21 @@ def _check_targets(head: ClassifierHead, targets, n: int) -> np.ndarray:
     return targets
 
 
+def _checked_forward(head: ClassifierHead, features):
+    """head.forward on checked features: (logits, distances or None)."""
+    return head.forward(_check_features(head, features))
+
+
 def feature_prototype_distances(head: ClassifierHead, features) -> np.ndarray:
     """Distance matrix (n x classes) for the distance-based heads.
 
     isomax uses raw vectors; isomaxplus normalizes both sides. The distance
     scale never appears here, only in the logits.
     """
-    distances = head.forward(_check_features(head, features))[1]
+    distances = _checked_forward(head, features)[1]
     if distances is None:
         raise ContractViolation(f"head kind {head.kind!r} has no feature-prototype distances")
     return distances
-
-
-def forward_logits(head: ClassifierHead, features) -> np.ndarray:
-    """Per-class logits, one row per feature row."""
-    return head.forward(_check_features(head, features))[0]
 
 
 def training_loss(head: ClassifierHead, features, targets) -> float:
@@ -300,7 +285,7 @@ def _mean_loss(head: ClassifierHead, features: np.ndarray, targets: np.ndarray) 
 
 def inference_probabilities(head: ClassifierHead, features) -> np.ndarray:
     """Softmax of the raw logits with the entropic scale removed."""
-    return stable_softmax_rows(forward_logits(head, features), 1.0)
+    return stable_softmax_rows(_checked_forward(head, features)[0], 1.0)
 
 
 def predict(head: ClassifierHead, features) -> np.ndarray:
@@ -309,7 +294,7 @@ def predict(head: ClassifierHead, features) -> np.ndarray:
     For the distance heads this is the nearest-prototype class whenever
     the distance scale is nonzero.
     """
-    return np.argmax(forward_logits(head, features), axis=1)
+    return np.argmax(_checked_forward(head, features)[0], axis=1)
 
 
 @dataclass(frozen=True)
@@ -329,8 +314,9 @@ class HeadOutputs:
 
 def head_outputs(head: ClassifierHead, features) -> HeadOutputs:
     """Distances, logits, inference probabilities and entropy, each computed
-    once and bit-identical to forward_logits and inference_probabilities."""
-    logits, distances = head.forward(_check_features(head, features))
+    once and bit-identical to feature_prototype_distances and
+    inference_probabilities."""
+    logits, distances = _checked_forward(head, features)
     probabilities = stable_softmax_rows(logits, 1.0)
     return HeadOutputs(distances=distances, logits=logits, probabilities=probabilities,
                        entropy=shannon_entropy_rows(probabilities))
@@ -366,13 +352,13 @@ def _normalize_backward(raw: np.ndarray, unit: np.ndarray,
     return out
 
 
-def backward(head: ClassifierHead, features, targets) -> HeadGradients:
-    """Analytic gradients of the mean batch loss.
+def backward(head: ClassifierHead, features, targets):
+    """Analytic gradients of the mean batch loss, as (d_features, params).
 
-    Returns the gradient with respect to the input features and, in
-    params, one gradient per name in the head's `parameters`. Matches
-    central finite differences of training_loss at 1e-4 relative
-    tolerance on differentiable points.
+    d_features is the gradient with respect to the input features, and
+    params holds one gradient per name in the head's `parameters`, each
+    shaped like its parameter. Matches central finite differences of
+    training_loss at 1e-4 relative tolerance on differentiable points.
     """
     features = _check_features(head, features)
     targets = _check_targets(head, targets, len(features))

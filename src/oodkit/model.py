@@ -212,9 +212,9 @@ def loss_and_gradients(state: TrainState, inputs, targets):
     trace = forward_trace(state.backbone, inputs)
     features = trace[0]
     loss = heads.training_loss(state.head, features, targets)
-    hg = heads.backward(state.head, features, targets)
-    grads = backbone_backward(state.backbone, trace, hg.d_features)
-    grads.update((f"head.{name}", g) for name, g in hg.params.items())
+    d_features, params = heads.backward(state.head, features, targets)
+    grads = backbone_backward(state.backbone, trace, d_features)
+    grads.update((f"head.{name}", g) for name, g in params.items())
     return loss, grads
 
 

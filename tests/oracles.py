@@ -11,7 +11,6 @@ from oodkit import gradcheck, heads, model
 from oodkit.heads import (
     DISTANCE_GRAD_EPS,
     PROBABILITY_FLOOR,
-    HeadGradients,
     IsoMaxHead,
     IsoMaxPlusHead,
     SoftMaxHead,
@@ -92,7 +91,7 @@ def fused_log_softmax_loss(head, features, targets):
     against which the separate-form heads.training_loss is compared. The
     entropic scale sharpens the distance heads only."""
     scale = 1.0 if head.kind == "softmax" else float(head.entropic_scale)
-    z = heads.forward_logits(head, features) * scale
+    z = heads.head_outputs(head, features).logits * scale
     z = z - z.max(axis=1, keepdims=True)
     log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     return float(-log_probs[np.arange(len(targets)), np.asarray(targets)].mean())
@@ -178,10 +177,7 @@ def head_backward_oracle(head, features, targets):
     if isinstance(head, SoftMaxHead):
         logits = features @ head.weights.T + head.bias
         g = _loss_grad_wrt_logits_oracle(head, logits, targets)
-        return HeadGradients(
-            d_features=g @ head.weights,
-            params={"weights": g.T @ features, "bias": g.sum(axis=0)},
-        )
+        return g @ head.weights, {"weights": g.T @ features, "bias": g.sum(axis=0)}
 
     if isinstance(head, IsoMaxHead):
         distances = pairwise_euclidean(features, head.prototypes)
@@ -192,7 +188,7 @@ def head_backward_oracle(head, features, targets):
         d_prototypes = (
             coeff.sum(axis=0)[:, np.newaxis] * head.prototypes - coeff.T @ features
         )
-        return HeadGradients(d_features=d_features, params={"prototypes": d_prototypes})
+        return d_features, {"prototypes": d_prototypes}
 
     if isinstance(head, IsoMaxPlusHead):
         fhat = row_normalize(features)
@@ -206,11 +202,9 @@ def head_backward_oracle(head, features, targets):
         d_fhat = coeff.sum(axis=1)[:, np.newaxis] * fhat - coeff @ phat
         d_phat = coeff.sum(axis=0)[:, np.newaxis] * phat - coeff.T @ fhat
         d_scale_abs = -(g * distances).sum()
-        return HeadGradients(
-            d_features=_normalize_backward_oracle(features, fhat, d_fhat),
-            params={"prototypes": _normalize_backward_oracle(head.prototypes, phat, d_phat),
-                    "distance_scale": np.sign(head.distance_scale) * d_scale_abs},
-        )
+        return _normalize_backward_oracle(features, fhat, d_fhat), {
+            "prototypes": _normalize_backward_oracle(head.prototypes, phat, d_phat),
+            "distance_scale": np.sign(head.distance_scale) * d_scale_abs}
 
     raise ContractViolation(f"unknown head kind {head.kind!r}")
 
@@ -249,9 +243,9 @@ def sgd_step_oracle(state, inputs, targets, cfg, lr=None):
     lr = cfg.learning_rate if lr is None else lr
     features = _backbone_trace_oracle(state.backbone, inputs)[0]
     loss = training_loss_oracle(state.head, features, targets)
-    hg = head_backward_oracle(state.head, features, targets)
-    grads = _backbone_backward_oracle(state.backbone, inputs, hg.d_features)
-    grads.update((f"head.{name}", g) for name, g in hg.params.items())
+    d_features, params = head_backward_oracle(state.head, features, targets)
+    grads = _backbone_backward_oracle(state.backbone, inputs, d_features)
+    grads.update((f"head.{name}", g) for name, g in params.items())
     for name, param in model.named_parameters(state):
         velocity = state.velocities.get(name)
         if velocity is None:
@@ -270,17 +264,20 @@ def sgd_step_oracle(state, inputs, targets, cfg, lr=None):
 # for bit.
 
 
-def _check_head_instance_oracle(kind, rng, h):
+def _check_head_instance_oracle(kind, rng):
     head, features, targets = gradcheck._draw_instance(kind, rng)
-    grads = heads.backward(head, features, targets)
-    numeric = gradcheck.finite_difference(
-        lambda f: heads.training_loss(head, f, targets), features, h)
-    return max(gradcheck.relative_error(grads.d_features, numeric), gradcheck._check_in_place(
-        [(name, getattr(head, name)) for name in head.parameters], grads.params,
-        lambda: heads.training_loss(head, features, targets), h))
+    d_features, params = heads.backward(head, features, targets)
+    checks = [(d_features, features)]
+    checks += [(params[name], getattr(head, name)) for name in head.parameters]
+
+    def loss():
+        return heads.training_loss(head, features, targets)
+
+    return max(gradcheck.relative_error(analytic, gradcheck.finite_difference(loss, theta))
+               for analytic, theta in checks)
 
 
-def _check_backbone_instance_oracle(rng, h):
+def _check_backbone_instance_oracle(rng):
     for _ in range(100):
         n = int(rng.integers(1, 9))
         widths = [int(rng.integers(1, 6)) for _ in range(int(rng.integers(2, 4)))]
@@ -294,28 +291,28 @@ def _check_backbone_instance_oracle(rng, h):
         features, _, preacts = trace
         if any(np.abs(z).min() < 1e-4 for z in preacts[:-1] if z.size):
             continue
-        if not gradcheck._smooth_at_step(kind, head, features):
-            continue
-        if gradcheck._near_probability_floor(head, features, targets):
-            continue
-        break
+        if gradcheck._well_posed(head, features, targets):
+            break
     else:
         raise RuntimeError("could not draw a differentiable backbone instance")
 
-    hg = heads.backward(head, features, targets)
+    d_features, _ = heads.backward(head, features, targets)
+    grads = model.backbone_backward(backbone, trace, d_features)
     state = model.TrainState(backbone=backbone, head=head, velocities={})
-    return gradcheck._check_in_place(
-        [(name, p) for name, p in model.named_parameters(state) if name.startswith("backbone.")],
-        model.backbone_backward(backbone, trace, hg.d_features),
-        lambda: heads.training_loss(head, model.backbone_forward(backbone, inputs), targets), h)
+
+    def loss():
+        return heads.training_loss(head, model.backbone_forward(backbone, inputs), targets)
+
+    return max(gradcheck.relative_error(grads[name], gradcheck.finite_difference(loss, p))
+               for name, p in model.named_parameters(state) if name.startswith("backbone."))
 
 
-def run_suite_oracle(instances, seed, h=gradcheck.DEFAULT_STEP):
+def run_suite_oracle(instances, seed):
     """gradcheck.run_suite with checked finite differences."""
     results = {}
     for kind in heads.HEAD_KINDS:
         rng = np.random.default_rng([seed, gradcheck._STREAM_IDS[kind]])
-        results[kind] = max(_check_head_instance_oracle(kind, rng, h) for _ in range(instances))
+        results[kind] = max(_check_head_instance_oracle(kind, rng) for _ in range(instances))
     rng = np.random.default_rng([seed, gradcheck._STREAM_IDS["backbone"]])
-    results["backbone"] = max(_check_backbone_instance_oracle(rng, h) for _ in range(instances))
+    results["backbone"] = max(_check_backbone_instance_oracle(rng) for _ in range(instances))
     return results

@@ -138,7 +138,7 @@ def test_criterion_3_score_consistency():
 
     for head, features in instances:
         mds = min_distance_score(head, features)
-        max_logit = heads.forward_logits(head, features).max(axis=1)
+        max_logit = heads.head_outputs(head, features).logits.max(axis=1)
         # (a) same ordering as the maximum logit: no strictly inverted pair
         inverted = ((mds[:, None] > mds[None, :])
                     & (max_logit[:, None] < max_logit[None, :]))

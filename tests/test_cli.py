@@ -3,6 +3,7 @@
 import ast
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -56,6 +57,13 @@ class TestUsageErrors:
         bad.write_text("{not json")
         assert cli_main(["train", "--config", str(bad)]) == 2
         assert "bad.json" in capsys.readouterr().err
+
+    def test_non_utf8_config_exits_2_with_one_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"head": "\xff"}')
+        assert cli_main(["train", "--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: config {bad} ")
 
     def test_help_exits_0(self, capsys):
         assert cli_main(["--help"]) == 0
@@ -136,6 +144,24 @@ class TestMalformedConfig:
         path = config_path(in_distribution={"kind": "csv", "path": str(data)})
         assert cli_main(["train", "--config", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {data}:2: {message}\n"
+
+    def test_non_utf8_csv_exits_1_with_one_line(self, config_path, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_bytes(b"label,f0,f1\n0,0.5,1.5\n1,\xff,1.5\n")
+        path = config_path(in_distribution={"kind": "csv", "path": str(data)})
+        assert cli_main(["train", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {data}: byte 24 is not valid UTF-8\n"
+
+    def test_idx_header_claiming_more_than_the_file_exits_1_with_one_line(
+            self, config_path, tmp_path, capsys):
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        images.write_bytes(struct.pack(">IIII", 0x0803, 50, 1000, 1000))
+        labels.write_bytes(struct.pack(">II", 0x0801, 50))
+        path = config_path(in_distribution={"kind": "idx", "images": str(images),
+                                            "labels": str(labels)})
+        assert cli_main(["train", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {images}: truncated, wanted 50000000 bytes at byte 16, got 0\n")
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     @pytest.mark.parametrize("spec", [
@@ -288,6 +314,23 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert "head.prototypes" in err
+
+    def test_unindexable_checkpoint_shape_exits_1_with_one_line(self, config_path, tmp_path,
+                                                                capsys):
+        cfg = config_path()
+        assert cli_main(["train", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        ckpt = tmp_path / "out" / "checkpoint_seed1.bin"
+        # magic, version, head kind, epoch, seed, config hash; then one empty
+        # array whose other dimension numpy cannot index
+        header = ckpt.read_bytes()[:8 + 4 + 4 + len("isomaxplus") + 8 + 8 + 32]
+        name = b"backbone.w0"
+        ckpt.write_bytes(header + struct.pack("<II", 1, len(name)) + name
+                         + struct.pack("<IQQ", 2, 2 ** 62, 0))
+        assert cli_main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt)]) == 1
+        assert capsys.readouterr().err == (
+            "error: array 'backbone.w0' has shape (4611686018427387904, 0), "
+            "too large to index\n")
 
     def test_trace_has_epoch_rows(self, config_path, tmp_path, capsys):
         cfg = config_path()

@@ -73,8 +73,6 @@ for _kind in heads.HEAD_KINDS:
             lambda v, k=_kind: oodkit.training_loss(make_head(k), matrix(v), TARGETS),
         f"backward[{_kind}]":
             lambda v, k=_kind: oodkit.backward(make_head(k), matrix(v), TARGETS),
-        f"forward_logits[{_kind}]":
-            lambda v, k=_kind: oodkit.forward_logits(make_head(k), matrix(v)),
         f"predict[{_kind}]": lambda v, k=_kind: oodkit.predict(make_head(k), matrix(v)),
         f"inference_probabilities[{_kind}]":
             lambda v, k=_kind: oodkit.inference_probabilities(make_head(k), matrix(v)),

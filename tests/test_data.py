@@ -2,6 +2,7 @@
 
 import ast
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +163,28 @@ class TestIdx:
         with pytest.raises(IdxParseError, match="truncated"):
             load_idx(images, labels)
 
+    @pytest.mark.parametrize("which", ["images", "labels"])
+    def test_header_claiming_more_than_the_file_allocates_nothing(self, tmp_path, which):
+        images, labels = self.build_pair(tmp_path)
+        if which == "images":  # 50 MB of pixels claimed by a 16-byte file
+            images.write_bytes(struct.pack(">IIII", 0x0803, 50, 1000, 1000))
+        else:
+            labels.write_bytes(struct.pack(">II", 0x0801, 50_000_000))
+        tracemalloc.start()
+        try:
+            with pytest.raises(IdxParseError, match="truncated"):
+                load_idx(images, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_no_images_of_an_unindexable_size(self, tmp_path):
+        images, labels = self.build_pair(tmp_path)
+        images.write_bytes(struct.pack(">IIII", 0x0803, 0, 2 ** 31, 2 ** 31))
+        with pytest.raises(IdxParseError, match="too large"):
+            load_idx(images, labels)
+
     def test_round_trip_within_quantization(self, tmp_path):
         rng = np.random.default_rng(9)
         ds = Dataset(rng.uniform(0.0, 1.0, size=(12, 6)), rng.integers(0, 4, size=12))
@@ -274,6 +297,20 @@ class TestCsv:
         with pytest.raises(ContractViolation) as info:
             load_csv(path)
         assert str(info.value) == f"{path}:3: {message}"
+
+    def test_non_utf8_byte_names_path_and_offset(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"label,f0,f1\n0,0.5,\xff1.5\n")
+        with pytest.raises(ContractViolation) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}: byte 18 is not valid UTF-8"
+
+    def test_crlf_line_endings(self, tmp_path):
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(b"label,f0\r\n0,0.5\r\n1,1.5\r\n")
+        back = load_csv(path)
+        np.testing.assert_array_equal(back.inputs, [[0.5], [1.5]])
+        np.testing.assert_array_equal(back.targets, [0, 1])
 
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
     def test_non_finite_field_names_path_line_and_field(self, tmp_path, text):

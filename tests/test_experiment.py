@@ -486,6 +486,18 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("shape", [(2 ** 62, 0), (0, 2 ** 64 - 1), (2 ** 31, 2 ** 31, 0)])
+    def test_unindexable_shape_is_typed_error(self, tmp_path, shape):
+        state, _ = self.trained_state()
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(state, path)
+        header = path.read_bytes()[:8 + 4 + 4 + len("isomaxplus") + 8 + 8 + 32]
+        name = b"backbone.w0"
+        path.write_bytes(header + struct.pack("<I", 1) + struct.pack("<I", len(name)) + name
+                         + struct.pack("<I", len(shape)) + struct.pack(f"<{len(shape)}Q", *shape))
+        with pytest.raises(CheckpointError, match="too large to index"):
+            load_checkpoint(path)
+
     def test_hash_mismatch_warns_but_loads(self, tmp_path):
         state, _ = self.trained_state()
         path = tmp_path / "ckpt.bin"

@@ -56,10 +56,10 @@ def flip_distance_scale_sign(monkeypatch):
     backward = heads.backward
 
     def flipped(head, features, targets):
-        grads = backward(head, features, targets)
-        if "distance_scale" in grads.params:
-            grads.params["distance_scale"] = -grads.params["distance_scale"]
-        return grads
+        d_features, params = backward(head, features, targets)
+        if "distance_scale" in params:
+            params["distance_scale"] = -params["distance_scale"]
+        return d_features, params
 
     monkeypatch.setattr(heads, "backward", flipped)
 
@@ -89,6 +89,21 @@ BUGS = {
         lambda head, logits, targets: loss_grad_wrt_logits(head, logits, targets,
                                                            entropic=False)),
 }
+
+
+def test_finite_difference_of_a_quadratic_restores_theta():
+    # loss = 0.5 * theta' A theta has gradient A theta; central differences
+    # are exact on a quadratic up to rounding.
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((6, 6))
+    a = a + a.T
+    theta = rng.standard_normal((2, 3))
+    before = theta.tobytes()
+    grad = gradcheck.finite_difference(
+        lambda: 0.5 * theta.ravel() @ a @ theta.ravel(), theta)
+    assert theta.tobytes() == before
+    assert grad.shape == theta.shape
+    np.testing.assert_allclose(grad.ravel(), a @ theta.ravel(), rtol=1e-7, atol=1e-9)
 
 
 def test_unmodified_gradients_pass_at_the_same_size(capsys):

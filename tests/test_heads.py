@@ -12,7 +12,6 @@ from oodkit.heads import (
     SoftMaxHead,
     backward,
     feature_prototype_distances,
-    forward_logits,
     head_outputs,
     inference_probabilities,
     predict,
@@ -34,35 +33,35 @@ def unit_prototypes():
 class TestForwardLogits:
     def test_isomaxplus_zero_distance_to_own_prototype(self):
         head = IsoMaxPlusHead(prototypes=np.array([[2.0, 0.0], [0.0, 3.0]]))
-        logits = forward_logits(head, [[4.0, 0.0]])  # normalizes onto prototype 0
+        logits = head_outputs(head, [[4.0, 0.0]]).logits  # normalizes onto prototype 0
         assert logits[0, 0] == 0.0
         assert logits[0, 0] == logits[0].max()
 
     def test_isomaxplus_hand_computed(self):
         head = IsoMaxPlusHead(prototypes=unit_prototypes(), distance_scale=2.0)
-        logits = forward_logits(head, [[1.0, 0.0]])
+        logits = head_outputs(head, [[1.0, 0.0]]).logits
         np.testing.assert_allclose(logits, [[0.0, -2.0 * math.sqrt(2.0)]], atol=1e-15)
 
     def test_isomaxplus_scaling_invariance(self):
         head = IsoMaxPlusHead(prototypes=np.random.default_rng(0).standard_normal((3, 4)))
         f = np.random.default_rng(1).standard_normal((5, 4))
-        np.testing.assert_allclose(forward_logits(head, f), forward_logits(head, 5.0 * f),
-                                   atol=1e-9)
+        np.testing.assert_allclose(head_outputs(head, f).logits,
+                                   head_outputs(head, 5.0 * f).logits, atol=1e-9)
 
     def test_isomax_logits_nonpositive(self):
         rng = np.random.default_rng(2)
         head = IsoMaxHead(prototypes=rng.standard_normal((3, 4)))
-        assert np.all(forward_logits(head, rng.standard_normal((6, 4))) <= 0.0)
+        assert np.all(head_outputs(head, rng.standard_normal((6, 4))).logits <= 0.0)
 
     def test_softmax_is_affine(self):
         head = SoftMaxHead(weights=np.array([[1.0, 2.0], [0.0, -1.0]]),
                            bias=np.array([0.5, -0.5]))
-        np.testing.assert_allclose(forward_logits(head, [[1.0, 1.0]]), [[3.5, -1.5]])
+        np.testing.assert_allclose(head_outputs(head, [[1.0, 1.0]]).logits, [[3.5, -1.5]])
 
     def test_dimension_mismatch(self):
         head = IsoMaxHead(prototypes=np.zeros((2, 3)))
         with pytest.raises(ContractViolation):
-            forward_logits(head, [[1.0, 2.0]])
+            head_outputs(head, [[1.0, 2.0]]).logits
 
 
 class TestTrainingLoss:
@@ -143,7 +142,7 @@ class TestInferenceProbabilities:
             for _ in range(10):
                 head, f, _ = gradcheck._draw_instance(kind, rng)
                 infer = inference_probabilities(head, f)
-                train = stable_softmax_rows(forward_logits(head, f), head.training_scale)
+                train = stable_softmax_rows(head_outputs(head, f).logits, head.training_scale)
                 np.testing.assert_array_equal(infer.argmax(axis=1), train.argmax(axis=1))
 
     def test_entropic_scale_removed(self):
@@ -152,7 +151,7 @@ class TestInferenceProbabilities:
                               entropic_scale=10.0)
         f = rng.standard_normal((5, 4))
         infer = inference_probabilities(head, f)
-        train = stable_softmax_rows(forward_logits(head, f), head.training_scale)
+        train = stable_softmax_rows(head_outputs(head, f).logits, head.training_scale)
         # the training softmax is strictly sharper away from uniform
         assert shannon_entropy_rows(infer).mean() > shannon_entropy_rows(train).mean()
 
@@ -197,7 +196,7 @@ class TestHeadOutputs:
         }[kind]
         f = rng.standard_normal((20, 3))
         out = head_outputs(head, f)
-        np.testing.assert_array_equal(out.logits, forward_logits(head, f))
+        np.testing.assert_array_equal(out.logits, head.forward(f)[0])
         np.testing.assert_array_equal(out.probabilities, inference_probabilities(head, f))
         np.testing.assert_array_equal(out.entropy,
                                       shannon_entropy_rows(inference_probabilities(head, f)))
@@ -217,10 +216,10 @@ class TestBackward:
 
     def test_single_class_gradients_vanish(self):
         head = IsoMaxPlusHead(prototypes=np.array([[1.0, 2.0]]))
-        grads = backward(head, [[0.3, -0.4]], [0])
-        np.testing.assert_array_equal(grads.d_features, 0.0)
-        np.testing.assert_array_equal(grads.params["prototypes"], 0.0)
-        assert grads.params["distance_scale"] == 0.0
+        d_features, params = backward(head, [[0.3, -0.4]], [0])
+        np.testing.assert_array_equal(d_features, 0.0)
+        np.testing.assert_array_equal(params["prototypes"], 0.0)
+        assert params["distance_scale"] == 0.0
 
     def test_softmax_shift_invariance_of_loss(self):
         rng = np.random.default_rng(12)
@@ -231,8 +230,8 @@ class TestBackward:
         shifted = SoftMaxHead(weights=head.weights, bias=head.bias + 17.5)
         assert training_loss(head, f, t) == pytest.approx(
             training_loss(shifted, f, t), abs=1e-12)
-        grads = backward(head, f, t)
-        assert grads.params["bias"].sum() == pytest.approx(0.0, abs=1e-12)
+        _, params = backward(head, f, t)
+        assert params["bias"].sum() == pytest.approx(0.0, abs=1e-12)
 
     def test_distance_scale_sign_irrelevant(self):
         rng = np.random.default_rng(13)
@@ -241,19 +240,19 @@ class TestBackward:
         t = rng.integers(0, 3, size=5)
         pos = IsoMaxPlusHead(prototypes=protos, distance_scale=1.7)
         neg = IsoMaxPlusHead(prototypes=protos, distance_scale=-1.7)
-        np.testing.assert_array_equal(forward_logits(pos, f), forward_logits(neg, f))
+        np.testing.assert_array_equal(head_outputs(pos, f).logits, head_outputs(neg, f).logits)
         assert training_loss(pos, f, t) == training_loss(neg, f, t)
         np.testing.assert_array_equal(inference_probabilities(pos, f),
                                       inference_probabilities(neg, f))
         np.testing.assert_array_equal(predict(pos, f), predict(neg, f))
-        gp, gn = backward(pos, f, t), backward(neg, f, t)
-        np.testing.assert_array_equal(gp.params["prototypes"], gn.params["prototypes"])
-        assert gp.params["distance_scale"] == -gn.params["distance_scale"]
+        (_, gp), (_, gn) = backward(pos, f, t), backward(neg, f, t)
+        np.testing.assert_array_equal(gp["prototypes"], gn["prototypes"])
+        assert gp["distance_scale"] == -gn["distance_scale"]
 
     def test_subgradient_at_zero_scale(self):
         head = IsoMaxPlusHead(prototypes=unit_prototypes(), distance_scale=0.0)
-        grads = backward(head, [[0.6, 0.8]], [0])
-        assert grads.params["distance_scale"] == 0.0
+        _, params = backward(head, [[0.6, 0.8]], [0])
+        assert params["distance_scale"] == 0.0
 
 
 class TestIsometryInvariance:
@@ -263,8 +262,8 @@ class TestIsometryInvariance:
         f = rng.standard_normal((10, 5))
         t = rng.integers(0, 4, size=10)
         scaled = f * rng.uniform(0.2, 20.0, size=(10, 1))
-        np.testing.assert_allclose(forward_logits(head, f),
-                                   forward_logits(head, scaled), atol=1e-9)
+        np.testing.assert_allclose(head_outputs(head, f).logits,
+                                   head_outputs(head, scaled).logits, atol=1e-9)
         assert training_loss(head, f, t) == pytest.approx(
             training_loss(head, scaled, t), abs=1e-9)
         np.testing.assert_allclose(inference_probabilities(head, f),

@@ -118,10 +118,10 @@ class TestLossAndGradients:
         inputs, targets = rng.standard_normal((12, 2)), rng.integers(0, 2, size=12)
         loss, grads = loss_and_gradients(state, inputs, targets)
         trace = forward_trace(state.backbone, inputs)
-        hg = heads.backward(state.head, trace[0], targets)
+        d_features, params = heads.backward(state.head, trace[0], targets)
         assert loss == heads.training_loss(state.head, trace[0], targets)
-        expected = backbone_backward(state.backbone, trace, hg.d_features)
-        expected.update((f"head.{name}", g) for name, g in hg.params.items())
+        expected = backbone_backward(state.backbone, trace, d_features)
+        expected.update((f"head.{name}", g) for name, g in params.items())
         assert set(grads) == {name for name, _ in named_parameters(state)}
         for name, param in named_parameters(state):
             assert grads[name].shape == param.shape, name

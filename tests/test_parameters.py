@@ -44,9 +44,9 @@ def test_every_array_field_is_a_declared_parameter(kind):
 def test_backward_returns_one_gradient_per_parameter(kind):
     rng = np.random.default_rng(1)
     head = make_train_state([2, 4], kind, 3, seed=1).head
-    grads = heads.backward(head, rng.standard_normal((5, 4)), rng.integers(0, 3, size=5))
-    assert tuple(grads.params) == head.parameters
-    for name, grad in grads.params.items():
+    _, params = heads.backward(head, rng.standard_normal((5, 4)), rng.integers(0, 3, size=5))
+    assert tuple(params) == head.parameters
+    for name, grad in params.items():
         assert np.shape(grad) == getattr(head, name).shape
 
 

@@ -10,7 +10,6 @@ from oodkit.heads import (
     IsoMaxPlusHead,
     SoftMaxHead,
     feature_prototype_distances,
-    forward_logits,
     head_outputs,
 )
 from oodkit.numerics import ContractViolation
@@ -95,7 +94,7 @@ class TestMinDistanceScore:
                               distance_scale=2.5)
         f = rng.standard_normal((25, 3))
         s = min_distance_score(head, f)
-        ml = forward_logits(head, f).max(axis=1)
+        ml = head_outputs(head, f).logits.max(axis=1)
         # no strictly inverted pair
         inversions = (s[:, None] > s[None, :]) & (ml[:, None] < ml[None, :])
         assert not inversions.any()
