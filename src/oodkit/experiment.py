@@ -43,6 +43,8 @@ from .numerics import ContractViolation
 REPORT_SCHEMA_VERSION = 1
 CHECKPOINT_MAGIC = b"EOODCKPT"
 CHECKPOINT_VERSION = 1
+# A checkpoint stores the seed as a signed 64-bit integer.
+MAX_SEED = 2**63 - 1
 
 # Seed stream ids: every per-seed random draw derives from
 # default_rng([seed, stream]) so a config plus its seed list fully
@@ -132,6 +134,10 @@ class ExperimentConfig:
             raise ContractViolation("at least one seed is required")
         if min(self.seeds) < 0:
             raise ContractViolation(f"seeds must be nonnegative, got {self.seeds}")
+        if max(self.seeds) > MAX_SEED:
+            raise ContractViolation(
+                f"seeds must be at most {MAX_SEED}, the largest a checkpoint holds, "
+                f"got {self.seeds}")
         if self.score_kinds and not self.ood:
             raise ContractViolation("detection metrics need at least one OOD spec")
         if not (0 <= self.val_fraction < 1):
@@ -720,6 +726,7 @@ def load_checkpoint(path, expected_head_kind: str | None = None,
             f"head dimension {state.head.dim} does not match the backbone's "
             f"feature width {feature_dim}")
     params = dict(named_parameters(state))
+    velocities = {}
     for name, arr in arrays.items():
         key = name[len("velocity."):] if name.startswith("velocity.") else None
         if key not in params:
@@ -728,7 +735,8 @@ def load_checkpoint(path, expected_head_kind: str | None = None,
             raise CheckpointError(
                 f"array {name!r} has shape {arr.shape}, its parameter has "
                 f"{params[key].shape}")
-        state.velocities[key] = arr
+        velocities[key] = arr
+    state.load_velocities(velocities)
     return state
 
 

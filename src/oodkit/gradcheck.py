@@ -18,7 +18,7 @@ import numpy as np
 
 from . import heads, model
 from .heads import HEAD_KINDS
-from .numerics import _softmax_rows
+from .numerics import ContractViolation, _softmax_rows
 
 DEFAULT_STEP = 1e-5
 
@@ -143,7 +143,7 @@ def check_backbone_instance(rng: np.random.Generator) -> float:
         raise RuntimeError("could not draw a differentiable backbone instance")
 
     state = model.TrainState(backbone=backbone, head=head, velocities={})
-    _, grads = model.loss_and_gradients(state, inputs, targets)
+    _, grads, _ = model.loss_and_gradients(state, inputs, targets)
 
     def loss():
         return heads._mean_loss(head, model.backbone_forward(backbone, inputs), targets)
@@ -157,6 +157,10 @@ _STREAM_IDS = {"softmax": 11, "isomax": 12, "isomaxplus": 13, "backbone": 14}
 
 def run_suite(instances: int = 100, seed: int = 0) -> dict:
     """Max relative error per head kind and for the backbone chain."""
+    if instances < 1:
+        raise ContractViolation(f"instances must be at least 1, got {instances}")
+    if seed < 0:
+        raise ContractViolation(f"seed must be nonnegative, got {seed}")
     results = {}
     for kind in HEAD_KINDS:
         rng = np.random.default_rng([seed, _STREAM_IDS[kind]])

@@ -5,10 +5,16 @@ raw features with no activation, so features can live anywhere in R^d.
 Training uses Nesterov momentum in the reformulated parameter-space form
 with weight decay added to the gradient, applied uniformly to every
 trainable parameter including prototypes and the distance scale.
+
+Every trainable array of a TrainState is a view into one float64 buffer,
+laid out in named_parameters order, with gradient and velocity buffers of
+the same layout. A step writes its gradients into the gradient buffer and
+makes one in-place Nesterov update over the whole of it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,14 +89,80 @@ class SgdConfig:
             raise ContractViolation("decay_epochs must lie within [1, epochs]")
 
 
+class _Layout:
+    """Flat float64 buffers over the trainable arrays of a state.
+
+    slots holds (name, shape, offset) per array, in named_parameters
+    order. params, grads and velocity each span every array, and scratch
+    is a pair of buffers of the same length for the in-place update.
+    """
+
+    def __init__(self, entries):
+        self.slots, offset = [], 0
+        for name, array in entries:
+            self.slots.append((name, array.shape, offset))
+            offset += array.size
+        self.params = np.empty(offset)
+        self.grads = np.zeros(offset)
+        self.velocity = np.zeros(offset)
+        self.scratch = (np.empty(offset), np.empty(offset))
+        self.grad_views = self.views(self.grads)
+        self.velocity_views = self.views(self.velocity)
+
+    def views(self, buffer: np.ndarray) -> dict:
+        """One view of buffer per slot, keyed by name."""
+        return {name: buffer[offset:offset + math.prod(shape)].reshape(shape)
+                for name, shape, offset in self.slots}
+
+
 @dataclass
 class TrainState:
+    """A backbone and a head with their optimizer state.
+
+    Building a state copies every trainable array into one parameter
+    buffer and points the backbone and head attributes at views of it,
+    and copies any velocities into a velocity buffer of the same layout.
+    velocities stays empty until the first step; from then on it maps
+    every named_parameters name to its view of the velocity buffer. A
+    deep copy, or an unpickled state, lays out buffers of its own.
+    """
+
     backbone: MlpBackbone
     head: ClassifierHead
     velocities: dict
     epoch: int = 0
     seed: int = 0
     config_hash: bytes = b"\x00" * 32
+
+    def __post_init__(self):
+        entries = named_parameters(self)
+        self._layout = _Layout(entries)
+        params = self._layout.views(self._layout.params)
+        for name, array in entries:
+            params[name][...] = array
+        b = self.backbone
+        b.weights = [params[f"backbone.w{i}"] for i in range(len(b.weights))]
+        b.biases = [params[f"backbone.b{i}"] for i in range(len(b.biases))]
+        for name in self.head.parameters:
+            setattr(self.head, name, params[f"head.{name}"])
+        self.load_velocities(self.velocities)
+
+    def load_velocities(self, velocities: dict):
+        """Copy velocities, keyed by named_parameters names, into the
+        velocity buffer; each entry of self.velocities is then its view."""
+        views = self._layout.velocity_views
+        for name, velocity in list(velocities.items()):
+            views[name][...] = velocity
+            self.velocities[name] = views[name]
+
+    def __getstate__(self):
+        state = dict(vars(self))
+        del state["_layout"]
+        return state
+
+    def __setstate__(self, state):
+        vars(self).update(state)
+        self.__post_init__()
 
 
 def make_backbone(widths, rng: np.random.Generator) -> MlpBackbone:
@@ -174,20 +246,28 @@ def backbone_backward(b: MlpBackbone, trace, d_features) -> dict:
 
 
 def nesterov_update(param: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
-                    cfg: SgdConfig, lr: float):
+                    cfg: SgdConfig, lr: float, scratch):
     """One Nesterov step in the reformulated parameter-space form.
 
     g <- grad + weight_decay * param
     v <- momentum * v + g
     param <- param - lr * (g + momentum * v)
 
-    The last line subtracts into param in place, so an array parameter
-    keeps its identity. Returns (param, new_velocity).
+    param and velocity are updated in place. g and the bracket of the last
+    line are formed in scratch, a pair of float64 arrays shaped like
+    param, so an update over preallocated buffers allocates nothing.
+    Returns (param, velocity).
     """
-    g = grad + cfg.weight_decay * param
-    v = cfg.momentum * velocity + g
-    param -= lr * (g + cfg.momentum * v)
-    return param, v
+    g, step = scratch
+    np.multiply(param, cfg.weight_decay, out=g)
+    g += grad
+    velocity *= cfg.momentum
+    velocity += g
+    np.multiply(velocity, cfg.momentum, out=step)
+    step += g
+    step *= lr
+    param -= step
+    return param, velocity
 
 
 def named_parameters(state: TrainState) -> list:
@@ -203,11 +283,15 @@ def named_parameters(state: TrainState) -> list:
 
 
 def loss_and_gradients(state: TrainState, inputs, targets):
-    """The mean training loss of a batch and its gradient, as (loss, grads)
+    """The mean training loss of a batch, its gradient, and how many of
+    its rows the state classifies correctly, as (loss, grads, correct)
     with grads keyed by the named_parameters names.
 
     One forward pass feeds the checked heads.training_loss and
-    heads.backward, then backbone_backward.
+    heads.backward, then backbone_backward. A row's prediction is the
+    argmax of its logits, ties going to the lowest class as in
+    heads.predict; the logits come from one unchecked head.forward on the
+    features that training_loss has checked.
     """
     trace = forward_trace(state.backbone, inputs)
     features = trace[0]
@@ -215,14 +299,19 @@ def loss_and_gradients(state: TrainState, inputs, targets):
     d_features, params = heads.backward(state.head, features, targets)
     grads = backbone_backward(state.backbone, trace, d_features)
     grads.update((f"head.{name}", g) for name, g in params.items())
-    return loss, grads
+    predictions = np.argmax(state.head.forward(features)[0], axis=1)
+    return loss, grads, int(np.count_nonzero(predictions == targets))
 
 
 def sgd_step(state: TrainState, inputs, targets, cfg: SgdConfig,
              lr: float | None = None, epoch: int | None = None,
-             batch_index: int | None = None) -> float:
+             batch_index: int | None = None):
     """One optimizer step over a batch of inputs and integer targets;
-    returns the pre-update loss.
+    returns (loss, correct), the pre-update loss and the number of rows
+    the pre-update parameters classify correctly.
+
+    Each gradient is written into its slice of the state's gradient
+    buffer, and one nesterov_update moves the whole parameter buffer.
 
     Raises TrainingDiverged, naming the epoch and the batch, when the
     forward features or the loss stop being finite; the state is then
@@ -232,7 +321,7 @@ def sgd_step(state: TrainState, inputs, targets, cfg: SgdConfig,
     if np.size(targets) == 0:
         raise ContractViolation("a batch needs at least one example")
     try:
-        loss, grads = loss_and_gradients(state, inputs, targets)
+        loss, grads, correct = loss_and_gradients(state, inputs, targets)
     except ContractViolation:
         # training_loss rejects non-finite features. From inputs that
         # forward_trace accepts, they mean the parameters have grown until
@@ -248,12 +337,12 @@ def sgd_step(state: TrainState, inputs, targets, cfg: SgdConfig,
             f"non-finite loss {loss} at epoch {epoch} batch {batch_index}",
             epoch=epoch, batch_index=batch_index,
         )
-    for name, param in named_parameters(state):
-        velocity = state.velocities.get(name)
-        if velocity is None:
-            velocity = np.zeros_like(param)
-        _, state.velocities[name] = nesterov_update(param, grads[name], velocity, cfg, lr)
-    return loss
+    layout = state._layout
+    for name, grad in layout.grad_views.items():
+        grad[...] = grads[name]
+    nesterov_update(layout.params, layout.grads, layout.velocity, cfg, lr, layout.scratch)
+    state.velocities.update(layout.velocity_views)
+    return loss, correct
 
 
 def fit(state: TrainState, stream: BatchStream, cfg: SgdConfig, callbacks=None):
@@ -261,8 +350,10 @@ def fit(state: TrainState, stream: BatchStream, cfg: SgdConfig, callbacks=None):
 
     The learning rate is divided by decay_factor at the start of each
     epoch listed in decay_epochs. Each trace row records the epoch, the
-    learning rate in effect, the mean batch loss, and full-pass training
-    accuracy.
+    learning rate in effect, the mean batch loss, and the running
+    training accuracy: the share of the epoch's rows that the pre-update
+    parameters of their own step classified correctly. No extra pass over
+    the training set runs.
     """
     trace = []
     lr = cfg.learning_rate
@@ -270,21 +361,21 @@ def fit(state: TrainState, stream: BatchStream, cfg: SgdConfig, callbacks=None):
     for epoch in range(1, cfg.epochs + 1):
         if epoch in decay_at:
             lr = lr / cfg.decay_factor
-        losses = []
+        losses, correct, rows = [], 0, 0
         # sgd_step reports an overflow as TrainingDiverged, not as a warning.
         with np.errstate(over="ignore", invalid="ignore"):
             for bi, (inputs, targets) in enumerate(stream.for_epoch(epoch)):
-                losses.append(sgd_step(state, inputs, targets, cfg, lr=lr, epoch=epoch,
-                                       batch_index=bi))
+                loss, batch_correct = sgd_step(state, inputs, targets, cfg, lr=lr,
+                                               epoch=epoch, batch_index=bi)
+                losses.append(loss)
+                correct += batch_correct
+                rows += len(targets)
         state.epoch = epoch
-        features = backbone_forward(state.backbone, stream.dataset.inputs)
-        predictions = heads.predict(state.head, features)
-        accuracy = float(np.mean(predictions == stream.dataset.targets))
         record = {
             "epoch": epoch,
             "learning_rate": lr,
             "mean_loss": float(np.mean(losses)) if losses else 0.0,
-            "train_accuracy": accuracy,
+            "train_accuracy": correct / rows if rows else 0.0,
         }
         trace.append(record)
         for cb in callbacks or ():

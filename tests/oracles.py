@@ -238,11 +238,15 @@ def _backbone_backward_oracle(b, inputs, d_features):
 
 
 def sgd_step_oracle(state, inputs, targets, cfg, lr=None):
-    """One optimizer step with two backbone forward passes; returns the
-    pre-update loss and updates state in place like model.sgd_step."""
+    """One optimizer step with two backbone forward passes and one
+    Nesterov update per parameter; returns (loss, correct), the pre-update
+    loss and the number of rows whose pre-update logits put their target
+    first (lowest index on a tie), and updates state in place like
+    model.sgd_step."""
     lr = cfg.learning_rate if lr is None else lr
     features = _backbone_trace_oracle(state.backbone, inputs)[0]
     loss = training_loss_oracle(state.head, features, targets)
+    correct = int((np.argmax(_logits_oracle(state.head, features), axis=1) == targets).sum())
     d_features, params = head_backward_oracle(state.head, features, targets)
     grads = _backbone_backward_oracle(state.backbone, inputs, d_features)
     grads.update((f"head.{name}", g) for name, g in params.items())
@@ -254,7 +258,28 @@ def sgd_step_oracle(state, inputs, targets, cfg, lr=None):
         v = cfg.momentum * velocity + g
         param -= lr * (g + cfg.momentum * v)
         state.velocities[name] = v
-    return loss
+    return loss, correct
+
+
+def fit_trace_oracle(state, stream, cfg):
+    """model.fit's trace, one sgd_step_oracle per batch: per epoch, the
+    learning rate in effect, the mean batch loss and the share of the
+    epoch's rows that their step's pre-update parameters classified
+    correctly."""
+    trace = []
+    lr = cfg.learning_rate
+    for epoch in range(1, cfg.epochs + 1):
+        if epoch in cfg.decay_epochs:
+            lr = lr / cfg.decay_factor
+        losses, correct, rows = [], 0, 0
+        for inputs, targets in stream.for_epoch(epoch):
+            loss, batch_correct = sgd_step_oracle(state, inputs, targets, cfg, lr)
+            losses.append(loss)
+            correct += batch_correct
+            rows += len(targets)
+        trace.append({"epoch": epoch, "learning_rate": lr,
+                      "mean_loss": float(np.mean(losses)), "train_accuracy": correct / rows})
+    return trace
 
 
 # ---------------------------------------------------------------------------

@@ -227,6 +227,16 @@ class TestMalformedConfig:
         assert trained == []
 
 
+    def test_seed_a_checkpoint_cannot_hold_is_rejected_before_training(
+            self, config_path, capsys, monkeypatch):
+        trained = []
+        monkeypatch.setattr(experiment, "fit", lambda *args: trained.append(args))
+        assert cli_main(["train", "--config", str(config_path()), "--seed", str(2**63)]) == 1
+        assert capsys.readouterr().err == (
+            "error: seeds must be at most 9223372036854775807, the largest a checkpoint "
+            "holds, got [9223372036854775808]\n")
+        assert trained == []
+
     def test_out_of_memory_exits_1_with_one_line(self, config_path, capsys, monkeypatch):
         # A set too large for memory, faked: a real one could get the test
         # process killed on a machine that overcommits memory.
@@ -380,6 +390,17 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "max relative error" in out
         assert "OK" in out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--instances", "0"], "instances must be at least 1, got 0"),
+        (["--instances", "-3"], "instances must be at least 1, got -3"),
+        (["--seed", "-1"], "seed must be nonnegative, got -1"),
+    ], ids=["zero_instances", "negative_instances", "negative_seed"])
+    def test_bad_bounds_exit_1_with_one_line(self, capsys, argv, message):
+        assert cli_main(["gradcheck", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
 
 
 class TestDivergence:

@@ -11,7 +11,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oodkit.experiment import ExperimentConfig, load_config, ood_sets, seed_data
+from oodkit.experiment import (
+    ExperimentConfig,
+    load_checkpoint,
+    load_config,
+    ood_sets,
+    save_checkpoint,
+    seed_data,
+)
+from oodkit.model import make_train_state
 from oodkit.numerics import ContractViolation
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -79,6 +87,8 @@ class TestOodNames:
 
 @pytest.mark.parametrize("overrides, message", [
     ({"seeds": [1, -1]}, "seeds must be nonnegative, got [1, -1]"),
+    ({"seeds": [1, 2**63]}, "seeds must be at most 9223372036854775807, the largest a "
+                            "checkpoint holds, got [1, 9223372036854775808]"),
     ({"ood": [{**RING, "train_classes": 2}]},
      "ood[0]: train_classes belongs to in_distribution"),
     ({"in_distribution": {"kind": "heldout"}},
@@ -87,12 +97,19 @@ class TestOodNames:
     ({"out_dir": 3}, "out_dir must be a string or null, got 3"),
     ({"standardize_inputs": 1}, "standardize_inputs must be a boolean, got 1"),
     ({"entropic_scale": 10 ** 400}, f"entropic_scale must be a number, got {10 ** 400}"),
-], ids=["negative_seed", "train_classes_in_ood", "heldout_in_distribution",
-        "float_decay_epoch", "int_out_dir", "int_boolean", "huge_int_number"])
+], ids=["negative_seed", "seed_beyond_checkpoint", "train_classes_in_ood",
+        "heldout_in_distribution", "float_decay_epoch", "int_out_dir", "int_boolean", "huge_int_number"])
 def test_rejected_at_load(overrides, message):
     with pytest.raises(ContractViolation) as info:
         ExperimentConfig.from_dict(shipped(**overrides))
     assert str(info.value) == message
+
+
+def test_largest_seed_loads_and_survives_a_checkpoint(tmp_path):
+    cfg = ExperimentConfig.from_dict(shipped(seeds=[2**63 - 1]))
+    state = make_train_state([2, 4], cfg.head, 3, cfg.seeds[0])
+    save_checkpoint(state, tmp_path / "ckpt.bin")
+    assert load_checkpoint(tmp_path / "ckpt.bin").seed == 2**63 - 1
 
 
 def json_paths(node, prefix=()):

@@ -68,8 +68,8 @@ def double_the_step_gradient(monkeypatch):
     loss_and_gradients = model.loss_and_gradients
 
     def doubled(state, inputs, targets):
-        loss, grads = loss_and_gradients(state, inputs, targets)
-        return loss, {name: 2.0 * g for name, g in grads.items()}
+        loss, grads, correct = loss_and_gradients(state, inputs, targets)
+        return loss, {name: 2.0 * g for name, g in grads.items()}, correct
 
     monkeypatch.setattr(model, "loss_and_gradients", doubled)
 

@@ -5,7 +5,7 @@ import copy
 import numpy as np
 import pytest
 
-from oodkit import gradcheck, heads
+from oodkit import gradcheck, heads, model
 from oodkit.data import BatchStream, gaussian_blobs
 from oodkit.model import (
     MlpBackbone,
@@ -23,6 +23,7 @@ from oodkit.model import (
     sgd_step,
 )
 from oodkit.numerics import ContractViolation
+from oracles import fit_trace_oracle
 
 
 class TestBackboneForward:
@@ -74,12 +75,16 @@ class TestBackboneBackward:
         np.testing.assert_array_equal(grads["backbone.w0"], [[0.0]])
 
 
+def scratch():
+    return np.empty(()), np.empty(())
+
+
 class TestNesterovUpdate:
     def test_single_parameter_quadratic_hand_check(self):
         # loss 0.5 * (theta - 3)^2, gradient theta - 3, starting at 0
         cfg = SgdConfig(learning_rate=0.1, momentum=0.0, weight_decay=0.0)
         theta, velocity = np.array(0.0), np.array(0.0)
-        theta, velocity = nesterov_update(theta, theta - 3.0, velocity, cfg, 0.1)
+        theta, velocity = nesterov_update(theta, theta - 3.0, velocity, cfg, 0.1, scratch())
         assert theta == pytest.approx(0.3)  # plain gradient descent step
         assert velocity == pytest.approx(-3.0)
 
@@ -87,13 +92,15 @@ class TestNesterovUpdate:
         # v <- mu v + g; theta <- theta - lr (g + mu v), checked by hand
         cfg = SgdConfig(learning_rate=1.0, momentum=0.5, weight_decay=0.0)
         theta, velocity = np.array(1.0), np.array(2.0)
-        new_theta, new_velocity = nesterov_update(theta, np.array(4.0), velocity, cfg, 1.0)
+        new_theta, new_velocity = nesterov_update(theta, np.array(4.0), velocity, cfg, 1.0,
+                                                  scratch())
         assert new_velocity == pytest.approx(0.5 * 2.0 + 4.0)       # 5.0
         assert new_theta == pytest.approx(1.0 - (4.0 + 0.5 * 5.0))  # -5.5
 
     def test_weight_decay_enters_gradient(self):
         cfg = SgdConfig(learning_rate=0.1, momentum=0.0, weight_decay=0.5)
-        theta, _ = nesterov_update(np.array(2.0), np.array(0.0), np.array(0.0), cfg, 0.1)
+        theta, _ = nesterov_update(np.array(2.0), np.array(0.0), np.array(0.0), cfg, 0.1,
+                                   scratch())
         assert theta == pytest.approx(2.0 - 0.1 * (0.5 * 2.0))
 
 
@@ -116,7 +123,7 @@ class TestLossAndGradients:
         state, _ = blob_state_and_data(kind, seed=9)
         rng = np.random.default_rng(10)
         inputs, targets = rng.standard_normal((12, 2)), rng.integers(0, 2, size=12)
-        loss, grads = loss_and_gradients(state, inputs, targets)
+        loss, grads, _ = loss_and_gradients(state, inputs, targets)
         trace = forward_trace(state.backbone, inputs)
         d_features, params = heads.backward(state.head, trace[0], targets)
         assert loss == heads.training_loss(state.head, trace[0], targets)
@@ -157,7 +164,7 @@ class TestSgdStep:
         inputs, targets = self.make_batch(np.random.default_rng(5))
         before = copy.deepcopy(state)
         cfg = SgdConfig(learning_rate=0.0)
-        loss = sgd_step(state, inputs, targets, cfg)
+        loss, _ = sgd_step(state, inputs, targets, cfg)
         assert loss == heads.training_loss(
             before.head, backbone_forward(before.backbone, inputs), targets)
         for w0, w1 in zip(before.backbone.weights, state.backbone.weights):
@@ -165,6 +172,25 @@ class TestSgdStep:
         np.testing.assert_array_equal(before.head.prototypes, state.head.prototypes)
         assert state.head.distance_scale == before.head.distance_scale
         assert state.velocities  # velocities still advanced
+
+    def test_one_nesterov_update_over_every_parameter_per_step(self, monkeypatch):
+        sizes = []
+        update = model.nesterov_update
+
+        def counted(param, *args, **kwargs):
+            sizes.append(param.size)
+            return update(param, *args, **kwargs)
+
+        monkeypatch.setattr(model, "nesterov_update", counted)
+        state, ds = blob_state_and_data("isomaxplus")
+        total = sum(array.size for _, array in named_parameters(state))
+        rng = np.random.default_rng(6)
+        for _ in range(3):
+            sgd_step(state, *self.make_batch(rng), SgdConfig())
+        assert sizes == [total] * 3
+        batches = stream(state, ds, 32)
+        fit(state, batches, SgdConfig(epochs=2, batch_size=32))
+        assert sizes == [total] * (3 + 2 * len(batches.for_epoch(1)))
 
     def test_bit_identical_across_runs(self):
         results = []
@@ -242,6 +268,18 @@ class TestFit:
         _, trace = fit(state, stream(state, ds), SgdConfig(epochs=0))
         assert trace == []
         np.testing.assert_array_equal(before.head.prototypes, state.head.prototypes)
+
+    @pytest.mark.parametrize("kind", heads.HEAD_KINDS)
+    def test_trace_equals_the_oracle(self, kind):
+        # Accuracy of each step's pre-update logits; the learning rate and
+        # the mean loss as before.
+        state, ds = blob_state_and_data(kind, seed=13, classes=3, n=50)
+        twin = copy.deepcopy(state)
+        cfg = SgdConfig(learning_rate=0.05, epochs=4, batch_size=32, decay_epochs=[3])
+        _, trace = fit(state, stream(state, ds, cfg.batch_size), cfg)
+        expected = fit_trace_oracle(twin, stream(twin, ds, cfg.batch_size), cfg)
+        assert trace == expected
+        assert len({row["train_accuracy"] for row in trace}) > 1
 
     def test_decay_schedule_visible_in_trace(self):
         state, ds = blob_state_and_data("softmax")
