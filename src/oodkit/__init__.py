@@ -26,8 +26,6 @@ from .heads import (
 from .scores import (
     ScoreKind,
     compute_score,
-    entropic_score,
-    max_probability_score,
     min_distance_score,
 )
 from .metrics import (
@@ -72,7 +70,6 @@ from .experiment import (
     evaluate_checkpoint,
     histogram_report,
     load_checkpoint,
-    load_config,
     ood_sets,
     run_experiment,
     save_checkpoint,

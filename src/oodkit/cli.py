@@ -4,7 +4,8 @@ Subcommands: train, eval, compare, hist, gradcheck. All experiment
 configuration comes from a JSON config file; --seed and --out-dir
 override the config in place. Exit codes: 0 success, 2 usage problems
 (bad flags, unreadable config), 1 anything else, with a one-line
-diagnostic on stderr.
+diagnostic on stderr. eval and hist go on with a checkpoint trained
+under another config, after one warning line on stderr.
 """
 
 from __future__ import annotations
@@ -44,6 +45,16 @@ def _load_config(path: str, args) -> ExperimentConfig:
     return ExperimentConfig.from_dict(raw)
 
 
+def _load_checkpoint(path: str, cfg: ExperimentConfig, expected_head_kind=None):
+    """load_checkpoint, with one stderr line if the checkpoint was trained
+    under another config; the command still goes on."""
+    state = experiment.load_checkpoint(path, expected_head_kind)
+    if state.config_hash != cfg.config_hash():
+        print("warning: checkpoint config hash does not match the supplied config",
+              file=sys.stderr)
+    return state
+
+
 def _out_dir(cfg: ExperimentConfig) -> Path:
     out = Path(cfg.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -76,9 +87,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = _load_config(args.config, args)
-    state = experiment.load_checkpoint(
-        args.checkpoint, expected_head_kind=cfg.head,
-        expected_config_hash=cfg.config_hash())
+    state = _load_checkpoint(args.checkpoint, cfg, expected_head_kind=cfg.head)
     seed = state.seed
     record, dumps = experiment.evaluate_checkpoint(
         cfg, state, experiment.seed_data(cfg, seed)[1])
@@ -119,8 +128,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_hist(args) -> int:
     cfg = _load_config(args.config, args)
-    state = experiment.load_checkpoint(
-        args.checkpoint, expected_config_hash=cfg.config_hash())
+    state = _load_checkpoint(args.checkpoint, cfg)
     seed = state.seed
     tables = experiment.histogram_report(
         cfg, state, experiment.seed_data(cfg, seed)[1], args.bins)

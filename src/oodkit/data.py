@@ -28,11 +28,10 @@ class IdxParseError(ValueError):
 
 @dataclass
 class Dataset:
-    """Input rows with optional integer labels and a provenance tag."""
+    """Input rows with optional integer labels."""
 
     inputs: np.ndarray
     targets: np.ndarray | None = None
-    provenance: str = ""
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
@@ -56,7 +55,7 @@ class Dataset:
 
     def subset(self, index) -> "Dataset":
         targets = None if self.targets is None else self.targets[index]
-        return Dataset(self.inputs[index], targets, self.provenance)
+        return Dataset(self.inputs[index], targets)
 
 
 def _class_centers(classes: int, dims: int, radius: float,
@@ -104,9 +103,7 @@ def gaussian_blobs(classes: int, dims: int, centers_radius: float, sigma: float,
     inputs = np.repeat(centers, n_per_class, axis=0)
     inputs = inputs + sigma * rng.standard_normal(inputs.shape)
     targets = np.repeat(np.arange(classes), n_per_class)
-    tag = (f"blobs(classes={classes}, dims={dims}, radius={centers_radius}, "
-           f"sigma={sigma}, n_per_class={n_per_class})")
-    return Dataset(inputs, targets, tag)
+    return Dataset(inputs, targets)
 
 
 def ood_uniform(dims: int, low: float, high: float, n: int, seed) -> Dataset:
@@ -118,7 +115,7 @@ def ood_uniform(dims: int, low: float, high: float, n: int, seed) -> Dataset:
     _check_size("uniform", {"n": n, "dims": dims})
     rng = np.random.default_rng(seed)
     inputs = rng.uniform(low, high, size=(n, dims))
-    return Dataset(inputs, None, f"uniform(low={low}, high={high}, n={n})")
+    return Dataset(inputs)
 
 
 def ood_ring(inner_radius: float, outer_radius: float, n: int, seed,
@@ -141,7 +138,7 @@ def ood_ring(inner_radius: float, outer_radius: float, n: int, seed,
     theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
     radius = np.sqrt(rng.uniform(inner_radius ** 2, outer_radius ** 2, size=n))
     inputs = np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=1)
-    return Dataset(inputs, None, f"ring(inner={inner_radius}, outer={outer_radius}, n={n})")
+    return Dataset(inputs)
 
 
 def _read_exact(f, count: int, offset: int, path: str) -> bytes:
@@ -191,7 +188,7 @@ def load_idx(images_path, labels_path) -> Dataset:
         raise IdxParseError(
             f"{labels_path}: {label_count} labels do not match {count} images")
     targets = np.frombuffer(label_bytes, dtype=np.uint8).astype(np.int64)
-    return Dataset(inputs, targets, f"idx({images_path}, {labels_path})")
+    return Dataset(inputs, targets)
 
 
 def write_idx(ds: Dataset, images_path, labels_path):
@@ -262,7 +259,7 @@ def load_csv(path) -> Dataset:
                          for column, text in zip(columns[1:], parts[1:])])
     if not rows:
         raise ContractViolation(f"{path}: no data rows")
-    return Dataset(np.array(rows), np.array(labels), f"csv({path})")
+    return Dataset(np.array(rows), np.array(labels))
 
 
 def write_csv(ds: Dataset, path):

@@ -19,7 +19,6 @@ import os
 import struct
 import time
 import typing
-import warnings
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from importlib import resources
 
@@ -201,12 +200,6 @@ class ExperimentConfig:
         return hashlib.sha256(canonical.encode()).digest()
 
 
-def load_config(path) -> ExperimentConfig:
-    """Read a JSON config file into a validated ExperimentConfig."""
-    with open(path, "r", encoding="utf-8") as f:
-        return ExperimentConfig.from_dict(json.load(f))
-
-
 @dataclass
 class Report:
     config: dict
@@ -224,21 +217,19 @@ class Report:
                    aggregate=_aggregate(cfg, per_seed), warnings=warnings,
                    wall_time_seconds=wall_time_seconds)
 
-    def to_dict(self, include_wall_time: bool = True) -> dict:
-        d = {
+    def to_dict(self) -> dict:
+        return {
             "schema_version": self.schema_version,
             "config": self.config,
             "per_seed": self.per_seed,
             "aggregate": self.aggregate,
             "warnings": list(self.warnings),
             "in_scores_from": "validation split (also used for accuracy)",
+            "wall_time_seconds": self.wall_time_seconds,
         }
-        if include_wall_time:
-            d["wall_time_seconds"] = self.wall_time_seconds
-        return d
 
-    def to_json(self, include_wall_time: bool = True) -> str:
-        return json.dumps(self.to_dict(include_wall_time), sort_keys=True, indent=2) + "\n"
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def _ood_name(spec: dict, index: int) -> str:
@@ -260,7 +251,7 @@ def _split_heldout(cfg: ExperimentConfig, ds: data_mod.Dataset):
         raise ContractViolation(
             f"train_classes must lie in [2, {ds.class_count}), got {k}")
     keep = ds.targets < k
-    pool = data_mod.Dataset(ds.inputs[~keep], None, ds.provenance + " heldout classes")
+    pool = data_mod.Dataset(ds.inputs[~keep])
     return ds.subset(np.flatnonzero(keep)), pool
 
 
@@ -288,7 +279,7 @@ class InputScaler:
     def apply(self, ds: data_mod.Dataset) -> data_mod.Dataset:
         inputs = ds.inputs - self.mean
         inputs /= self.scale  # in place: one data-sized temporary, not two
-        return data_mod.Dataset(inputs, ds.targets, ds.provenance)
+        return data_mod.Dataset(inputs, ds.targets)
 
 
 @dataclass(frozen=True)
@@ -317,6 +308,10 @@ def seed_data(cfg: ExperimentConfig, seed: int):
             f"width {cfg.backbone_widths[0]}")
     train, val = data_mod.split_dataset(in_ds, cfg.val_fraction,
                                         (seed, SPLIT_BATCH_STREAM))
+    if not (len(train) and len(val)):
+        raise ContractViolation(
+            f"val_fraction {cfg.val_fraction!r} splits {len(in_ds)} rows into {len(train)} "
+            f"training and {len(val)} validation rows; each split needs at least one")
     del full, in_ds  # the split copied its rows
     if cfg.standardize_inputs:
         scaler = InputScaler.fit(train.inputs)
@@ -664,11 +659,10 @@ def _read_name(f, what: str) -> str:
         raise CheckpointError(f"{what} is not valid UTF-8") from None
 
 
-def load_checkpoint(path, expected_head_kind: str | None = None,
-                    expected_config_hash: bytes | None = None) -> TrainState:
+def load_checkpoint(path, expected_head_kind: str | None = None) -> TrainState:
     """Rebuild a TrainState bit-exactly from save_checkpoint output.
 
-    A config-hash mismatch only warns; a head-kind mismatch or any
+    The config hash is read, not checked. A head-kind mismatch or any
     structural problem raises CheckpointError, including a missing,
     unexpected or repeated array and array shapes that disagree with
     each other.
@@ -688,10 +682,9 @@ def load_checkpoint(path, expected_head_kind: str | None = None,
                 f"checkpoint holds a {kind!r} head, expected {expected_head_kind!r}")
         (epoch,) = struct.unpack("<Q", _read_exactly(f, 8, "epoch"))
         (seed,) = struct.unpack("<q", _read_exactly(f, 8, "seed"))
+        if seed < 0:
+            raise CheckpointError(f"negative seed {seed} in checkpoint")
         config_hash = _read_exactly(f, 32, "config hash")
-        if expected_config_hash is not None and config_hash != expected_config_hash:
-            warnings.warn("checkpoint config hash does not match the supplied config",
-                          stacklevel=2)
         (count,) = struct.unpack("<I", _read_exactly(f, 4, "array count"))
         arrays = {}
         for _ in range(count):

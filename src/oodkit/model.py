@@ -49,12 +49,6 @@ class MlpBackbone:
     biases: list
 
     @property
-    def widths(self) -> list:
-        if not self.weights:
-            raise ContractViolation("identity backbone has no stored widths")
-        return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
-
-    @property
     def feature_dim(self) -> int:
         return self.weights[-1].shape[0] if self.weights else -1
 
@@ -345,7 +339,7 @@ def sgd_step(state: TrainState, inputs, targets, cfg: SgdConfig,
     return loss, correct
 
 
-def fit(state: TrainState, stream: BatchStream, cfg: SgdConfig, callbacks=None):
+def fit(state: TrainState, stream: BatchStream, cfg: SgdConfig):
     """Run the epoch loop over a stream's batches; returns (state, trace).
 
     The learning rate is divided by decay_factor at the start of each
@@ -371,13 +365,10 @@ def fit(state: TrainState, stream: BatchStream, cfg: SgdConfig, callbacks=None):
                 correct += batch_correct
                 rows += len(targets)
         state.epoch = epoch
-        record = {
+        trace.append({
             "epoch": epoch,
             "learning_rate": lr,
             "mean_loss": float(np.mean(losses)) if losses else 0.0,
             "train_accuracy": correct / rows if rows else 0.0,
-        }
-        trace.append(record)
-        for cb in callbacks or ():
-            cb(state, record)
+        })
     return state, trace

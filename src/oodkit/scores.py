@@ -11,8 +11,8 @@ from enum import Enum
 
 import numpy as np
 
-from .heads import ClassifierHead, HeadOutputs, feature_prototype_distances
-from .numerics import ContractViolation, _check_probability_rows, shannon_entropy_rows
+from .heads import ClassifierHead, HeadOutputs, head_outputs
+from .numerics import ContractViolation
 
 
 class ScoreKind(str, Enum):
@@ -21,46 +21,27 @@ class ScoreKind(str, Enum):
     MIN_DISTANCE = "min_distance"
 
 
-def max_probability_score(probs) -> np.ndarray:
-    """Largest inference probability per row; lies in (0, 1]."""
-    probs = _check_probability_rows(probs)
-    return probs.max(axis=1)
+def compute_score(kind: ScoreKind | str, outputs: HeadOutputs) -> np.ndarray:
+    """One score kind, read from a head's outputs on a batch of features
+    (see heads.head_outputs); nothing is recomputed.
 
-
-def entropic_score(probs) -> np.ndarray:
-    """Negative Shannon entropy per row; lies in [-ln(classes), 0]."""
-    return -shannon_entropy_rows(probs)
-
-
-def min_distance_score_from_distances(distances: np.ndarray) -> np.ndarray:
-    """Negated per-row minimum of an already computed distance matrix.
-
-    This is the whole score: classification already produced these
-    distances, so detection adds no distance computation of its own.
+    max_probability is the largest inference probability per row, in
+    (0, 1]; entropic is the negative entropy, in [-ln(classes), 0];
+    min_distance is the negated distance to the nearest prototype, the
+    distances classification already computed, so the distance scale
+    never enters.
     """
-    return -np.min(distances, axis=1)
+    kind = ScoreKind(kind)
+    if kind is ScoreKind.MAX_PROBABILITY:
+        return outputs.probabilities.max(axis=1)
+    if kind is ScoreKind.ENTROPIC:
+        return -outputs.entropy
+    if outputs.distances is None:
+        raise ContractViolation("minimum distance score requires head outputs with distances")
+    return -outputs.distances.min(axis=1)
 
 
 def min_distance_score(head: ClassifierHead, features) -> np.ndarray:
-    """Negative distance to the nearest prototype.
-
-    The distances are the head's own (see feature_prototype_distances),
-    which rejects a head without prototypes. The distance scale never
-    enters, so heads differing only in it produce bit-identical scores.
-    Ranks examples exactly like the maximum logit.
-    """
-    return min_distance_score_from_distances(feature_prototype_distances(head, features))
-
-
-def compute_score(kind: ScoreKind | str, outputs: HeadOutputs) -> np.ndarray:
-    """Evaluate one score kind from a head's outputs on a batch of features
-    (see heads.head_outputs); nothing is recomputed."""
-    kind = ScoreKind(kind)
-    if kind is ScoreKind.MIN_DISTANCE:
-        if outputs.distances is None:
-            raise ContractViolation(
-                "minimum distance score requires head outputs with distances")
-        return min_distance_score_from_distances(outputs.distances)
-    if kind is ScoreKind.MAX_PROBABILITY:
-        return max_probability_score(outputs.probabilities)
-    return -outputs.entropy
+    """The min_distance score of a head on features; ranks examples
+    exactly like the maximum logit."""
+    return compute_score(ScoreKind.MIN_DISTANCE, head_outputs(head, features))

@@ -6,6 +6,7 @@ lines. Criteria 4, 5, and 6 share one desk-scale training fixture:
 MLP 2-64-64, 30 epochs, seeds 1..5, all three heads.
 """
 
+import json
 import math
 import time
 
@@ -273,9 +274,10 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
         "sgd": {"epochs": 3, "batch_size": 16},
         "val_fraction": 0.25,
     })
-    json_a = run_experiment(cfg).to_json(include_wall_time=False)
-    json_b = run_experiment(cfg).to_json(include_wall_time=False)
-    reports_ok = json_a == json_b
+    reports = [run_experiment(cfg).to_dict() for _ in range(2)]
+    for report in reports:
+        report.pop("wall_time_seconds")
+    reports_ok = json.dumps(reports[0], sort_keys=True) == json.dumps(reports[1], sort_keys=True)
 
     state, _, data = train_single_seed(cfg, 1)
     p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"

@@ -227,6 +227,21 @@ class TestMalformedConfig:
         assert trained == []
 
 
+    @pytest.mark.parametrize("val_fraction, train_rows, val_rows",
+                             [(0.0, 120, 0), (0.9999, 0, 120)], ids=["no_val", "no_train"])
+    def test_empty_split_exits_1_with_one_line_before_training(
+            self, config_path, tmp_path, capsys, monkeypatch, val_fraction, train_rows,
+            val_rows):
+        trained = []
+        monkeypatch.setattr(experiment, "fit", lambda *args: trained.append(args))
+        path = config_path(val_fraction=val_fraction)
+        assert cli_main(["train", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: val_fraction {val_fraction!r} splits 120 rows into {train_rows} "
+            f"training and {val_rows} validation rows; each split needs at least one\n")
+        assert trained == []
+        assert not (tmp_path / "out" / "checkpoint_seed1.bin").exists()
+
     def test_seed_a_checkpoint_cannot_hold_is_rejected_before_training(
             self, config_path, capsys, monkeypatch):
         trained = []
@@ -325,6 +340,27 @@ class TestTrainEval:
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert "head.prototypes" in err
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda b: b"X" + b[1:],
+        lambda b: b[:8] + struct.pack("<I", 2) + b[12:],
+        lambda b: b[:16] + b"I" + b[17:],
+        # the top byte of the seed, after magic, version, head kind and epoch
+        lambda b: b[:41] + bytes([b[41] | 0x80]) + b[42:],
+        lambda b: b[:-1],
+        lambda b: b + b"\x00",
+    ], ids=["magic", "version", "head_kind", "negative_seed", "truncated", "trailing_byte"])
+    def test_broken_checkpoint_exits_1_with_the_load_error(self, config_path, tmp_path,
+                                                           capsys, corrupt):
+        cfg = config_path()
+        assert cli_main(["train", "--config", str(cfg)]) == 0
+        ckpt = tmp_path / "out" / "checkpoint_seed1.bin"
+        ckpt.write_bytes(corrupt(ckpt.read_bytes()))
+        with pytest.raises(experiment.CheckpointError) as info:
+            experiment.load_checkpoint(ckpt)
+        capsys.readouterr()
+        assert cli_main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt)]) == 1
+        assert capsys.readouterr() == ("", f"error: {info.value}\n")
+
     def test_unindexable_checkpoint_shape_exits_1_with_one_line(self, config_path, tmp_path,
                                                                 capsys):
         cfg = config_path()
@@ -355,6 +391,21 @@ class TestTrainEval:
         assert cli_main(["train", "--config", str(cfg), "--seed", "9"]) == 0
         capsys.readouterr()
         assert (tmp_path / "out" / "checkpoint_seed9.bin").exists()
+
+
+class TestConfigHashMismatch:
+    @pytest.mark.parametrize("command", ["eval", "hist"])
+    def test_prints_one_warning_line_and_exits_0(self, config_path, tmp_path, capsys,
+                                                 command):
+        assert cli_main(["train", "--config", str(config_path())]) == 0
+        ckpt = str(tmp_path / "out" / "checkpoint_seed1.bin")
+        other = config_path(name="other.json", entropic_scale=5.0)
+        capsys.readouterr()
+        assert cli_main([command, "--config", str(config_path()), "--checkpoint", ckpt]) == 0
+        assert capsys.readouterr().err == ""
+        assert cli_main([command, "--config", str(other), "--checkpoint", ckpt]) == 0
+        assert capsys.readouterr().err == (
+            "warning: checkpoint config hash does not match the supplied config\n")
 
 
 class TestCompare:

@@ -58,8 +58,6 @@ CASES = {
         oodkit.SgdConfig()),
     "loss_and_gradients": lambda v: oodkit.loss_and_gradients(
         oodkit.make_train_state([3, 4, 2], "softmax", 2, 0), matrix(v), TARGETS),
-    "max_probability_score": lambda v: oodkit.max_probability_score(constant(v, 2)),
-    "entropic_score": lambda v: oodkit.entropic_score(constant(v, 2)),
     "DetectionScoreSet[in]": lambda v: oodkit.DetectionScoreSet([0.5, v], [0.1, 0.2]),
     "DetectionScoreSet[out]": lambda v: oodkit.DetectionScoreSet([0.5, 0.6], [v, 0.2]),
     "backbone_forward": lambda v: oodkit.backbone_forward(BACKBONE, matrix(v)),

@@ -331,13 +331,6 @@ class TestFit:
         with pytest.raises(ContractViolation):
             SgdConfig(epochs=5, decay_epochs=[6])
 
-    def test_callbacks_see_every_epoch(self):
-        state, ds = blob_state_and_data("softmax")
-        seen = []
-        fit(state, stream(state, ds), SgdConfig(epochs=3),
-            callbacks=[lambda s, record: seen.append(record["epoch"])])
-        assert seen == [1, 2, 3]
-
 
 class TestMakeTrainState:
     def test_isomaxplus_replays_from_seed(self):

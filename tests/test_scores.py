@@ -6,60 +6,64 @@ import numpy as np
 import pytest
 
 from oodkit.heads import (
+    HeadOutputs,
     IsoMaxHead,
     IsoMaxPlusHead,
     SoftMaxHead,
     feature_prototype_distances,
     head_outputs,
 )
-from oodkit.numerics import ContractViolation
-from oodkit.scores import (
-    ScoreKind,
-    compute_score,
-    entropic_score,
-    max_probability_score,
-    min_distance_score,
-    min_distance_score_from_distances,
-)
+from oodkit.numerics import ContractViolation, shannon_entropy_rows
+from oodkit.scores import ScoreKind, compute_score, min_distance_score
+
+
+def outputs(probs) -> HeadOutputs:
+    """Head outputs built by hand from probability rows. The logits are
+    NaN, since no score reads them."""
+    probs = np.array(probs, dtype=np.float64)
+    return HeadOutputs(distances=None, logits=np.full_like(probs, np.nan),
+                       probabilities=probs, entropy=shannon_entropy_rows(probs))
+
+
+def max_probability(probs):
+    return compute_score(ScoreKind.MAX_PROBABILITY, outputs(probs))
+
+
+def entropic(probs):
+    return compute_score(ScoreKind.ENTROPIC, outputs(probs))
 
 
 class TestMaxProbabilityScore:
     def test_simple_row(self):
-        np.testing.assert_array_equal(
-            max_probability_score([[0.7, 0.2, 0.1]]), [0.7])
+        np.testing.assert_array_equal(max_probability([[0.7, 0.2, 0.1]]), [0.7])
 
     def test_uniform_row(self):
-        assert max_probability_score([[0.25] * 4])[0] == 0.25
+        assert max_probability([[0.25] * 4])[0] == 0.25
 
     def test_on_inference_probabilities(self):
         head = IsoMaxPlusHead(prototypes=np.array([[1.0, 0.0], [0.0, 1.0]]))
-        from oodkit.heads import inference_probabilities
-        probs = inference_probabilities(head, [[1.0, 0.0]])
+        score = compute_score(ScoreKind.MAX_PROBABILITY, head_outputs(head, [[1.0, 0.0]]))
         expected = 1.0 / (1.0 + math.exp(-math.sqrt(2.0)))
-        assert max_probability_score(probs)[0] == pytest.approx(expected, abs=1e-12)
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ContractViolation):
-            max_probability_score([[0.7, 0.7]])
+        assert score[0] == pytest.approx(expected, abs=1e-12)
 
 
 class TestEntropicScore:
     def test_degenerate_is_zero(self):
-        assert entropic_score([[1.0, 0.0]])[0] == 0.0
+        assert entropic([[1.0, 0.0]])[0] == 0.0
 
     def test_uniform_is_most_ood(self):
-        assert entropic_score([[0.25] * 4])[0] == pytest.approx(-math.log(4.0))
+        assert entropic([[0.25] * 4])[0] == pytest.approx(-math.log(4.0))
 
     def test_derived_row(self):
-        assert entropic_score([[0.73105858, 0.26894142]])[0] == pytest.approx(
+        assert entropic([[0.73105858, 0.26894142]])[0] == pytest.approx(
             -0.58220309, abs=1e-7)
 
     def test_matches_max_probability_order_for_two_classes(self):
         rng = np.random.default_rng(0)
         p = rng.uniform(0.01, 0.99, size=30)
         probs = np.stack([p, 1.0 - p], axis=1)
-        es = entropic_score(probs)
-        ms = max_probability_score(probs)
+        es = entropic(probs)
+        ms = max_probability(probs)
         assert np.array_equal(np.argsort(es), np.argsort(ms))
 
 
@@ -104,8 +108,7 @@ class TestMinDistanceScore:
         head = IsoMaxHead(prototypes=rng.standard_normal((3, 5)))
         f = rng.standard_normal((8, 5))
         d = feature_prototype_distances(head, f)
-        np.testing.assert_array_equal(min_distance_score(head, f),
-                                      min_distance_score_from_distances(d))
+        np.testing.assert_array_equal(min_distance_score(head, f), -d.min(axis=1))
 
     def test_isomax_uses_raw_distances(self):
         head = IsoMaxHead(prototypes=np.array([[3.0, 0.0]]))
