@@ -3,6 +3,7 @@ the config echo that reports and checkpoints hash."""
 
 import copy
 import json
+import re
 import sys
 import types
 from pathlib import Path
@@ -172,9 +173,11 @@ def load_and_build(raw: dict):
 EDGE_VALUES = [None, True, "x", [], {}, -1, 0, 5.5, 1e308, float("nan"), float("inf"),
                -float("inf")]
 # What a set still reports only when it is built: a range that spans two
-# keys, a squared radius that overflows, or a split left empty by
-# val_fraction (the row count is known only then).
-RANGE_FAULTS = ("need low < high", "need 0 < inner_radius < outer_radius", "val_fraction ")
+# keys, or a squared radius that overflows.
+RANGE_FAULTS = ("need low < high", "need 0 < inner_radius < outer_radius")
+# A split left empty by val_fraction, known only once the rows are counted.
+EMPTY_SPLIT = re.compile(r"val_fraction \S+ splits \d+ rows into \d+ training and \d+ "
+                         r"validation rows; each split needs at least one")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -184,7 +187,8 @@ def test_edge_values_fail_at_load_or_on_a_range_fault(base):
         for value in EDGE_VALUES:
             outcome = load_and_build(mutated(base, path, value))
             if outcome not in (None, "load"):
-                assert outcome[1].startswith(RANGE_FAULTS), (path, value, outcome)
+                assert (outcome[1].startswith(RANGE_FAULTS)
+                        or EMPTY_SPLIT.fullmatch(outcome[1])), (path, value, outcome)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

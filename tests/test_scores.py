@@ -117,7 +117,7 @@ class TestMinDistanceScore:
 
     def test_softmax_head_rejected(self):
         head = SoftMaxHead.initial(3, 4, np.random.default_rng(0))
-        with pytest.raises(ContractViolation):
+        with pytest.raises(ContractViolation, match="requires head outputs with distances"):
             min_distance_score(head, np.zeros((1, 4)))
 
 
@@ -129,13 +129,10 @@ class TestComputeScore:
         for kind in ScoreKind:
             out = compute_score(kind, head_outputs(head, f))
             assert out.shape == (6,)
-        np.testing.assert_array_equal(compute_score("min_distance", head_outputs(head, f)),
-                                      min_distance_score(head, f))
 
-    def test_min_distance_rejects_softmax_outputs(self):
-        head = SoftMaxHead.initial(3, 4, np.random.default_rng(0))
-        with pytest.raises(ContractViolation):
-            compute_score("min_distance", head_outputs(head, np.zeros((1, 4))))
+    def test_min_distance_rejects_outputs_without_distances(self):
+        with pytest.raises(ContractViolation, match="requires head outputs with distances"):
+            compute_score("min_distance", outputs([[0.5, 0.5]]))
 
     def test_higher_means_more_in_distribution(self):
         # a point on a prototype must outscore a far away point on all kinds
