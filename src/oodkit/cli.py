@@ -16,6 +16,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import experiment, gradcheck, heads, metrics
 from .data import IdxParseError
 from .experiment import CheckpointError, ExperimentConfig
@@ -73,9 +75,11 @@ def _cmd_train(args) -> int:
             f, fieldnames=["epoch", "learning_rate", "mean_loss", "train_accuracy"])
         writer.writeheader()
         writer.writerows(trace)
-    features = backbone_forward(state.backbone, data.val.inputs)
-    accuracy = metrics.classification_accuracy(
-        heads.predict(state.head, features), data.val.targets)
+    # An overflow shows up as a ContractViolation, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        features = backbone_forward(state.backbone, data.val.inputs)
+        accuracy = metrics.classification_accuracy(
+            heads.predict(state.head, features), data.val.targets)
     summary = {"seed": seed, "val_accuracy": accuracy,
                "checkpoint": str(ckpt_path), "epochs": cfg.sgd.epochs}
     with open(out / f"train_summary_seed{seed}.json", "w", encoding="utf-8") as f:

@@ -71,33 +71,60 @@ def _class_centers(classes: int, dims: int, radius: float,
     return radius * dirs
 
 
-# kind -> (the spec key that sets the set's size, the keys whose values
-# are the dimensions of its largest array).
-SIZE_KEYS = {"blobs": ("n_per_class", ("classes", "n_per_class", "dims")),
-             "uniform": ("n", ("n", "dims")), "ring": ("n", ("n", "dims"))}
-
-
-def _check_size(kind: str, args: dict):
-    """Reject a set whose arrays numpy cannot index, before any is built;
-    the sizes multiply as Python ints, which cannot overflow."""
-    key, keys = SIZE_KEYS[kind]
-    sizes = [int(args[k]) for k in keys]
+def check_size(what: str, value, shape):
+    """Reject a float64 array of this shape that numpy cannot make, before
+    any is built: numpy bounds each dimension and the element count, and,
+    counting an empty dimension as 1, the bytes. The sizes multiply as
+    Python ints, which cannot overflow."""
     limit = np.iinfo(np.intp).max
-    if max(*sizes, math.prod(sizes)) > limit:
-        raise ContractViolation(f"{kind} spec key {key!r} asks for more than {limit} "
-                                f"elements, got {args[key]}")
+    if max(*shape, math.prod(shape)) > limit:
+        unit = "elements"
+    elif math.prod(max(d, 1) for d in shape) * 8 > limit:
+        unit = "bytes"
+    else:
+        return
+    raise ContractViolation(f"{what} asks for more than {limit} {unit}, got {value}")
+
+
+def _require(ok: bool, kind: str, key: str, rule: str, value):
+    if not ok:
+        raise ContractViolation(f"{kind} spec key {key!r} must {rule}, got {value!r}")
+
+
+# The rules of each generated kind, run by its generator and by check_spec
+# alike. Every comparison fails on NaN.
+
+def _blobs_rules(classes, dims, centers_radius, sigma, n_per_class):
+    _require(classes >= 2, "blobs", "classes", "give at least 2 classes", classes)
+    _require(dims >= 1, "blobs", "dims", "be positive", dims)
+    _require(sigma > 0, "blobs", "sigma", "be positive", sigma)
+    _require(n_per_class >= 1, "blobs", "n_per_class", "be positive", n_per_class)
+    check_size("blobs spec key 'n_per_class'", n_per_class, (classes, n_per_class, dims))
+
+
+def _uniform_rules(dims, low, high, n):
+    _require(dims >= 0, "uniform", "dims", "be nonnegative", dims)
+    _require(low < high and math.isfinite(float(high) - float(low)), "uniform", "high",
+             f"exceed low {low!r} by a finite amount", high)
+    _require(n >= 0, "uniform", "n", "be nonnegative", n)
+    check_size("uniform spec key 'n'", n, (n, dims))
+
+
+def _ring_rules(inner_radius, outer_radius, n, dims):
+    _require(dims >= 1, "ring", "dims", "be positive", dims)
+    _require(dims == 2, "ring", "dims", "be 2", dims)
+    _require(inner_radius > 0, "ring", "inner_radius", "be positive", inner_radius)
+    _require(inner_radius < outer_radius and math.isfinite(float(outer_radius) * outer_radius),
+             "ring", "outer_radius",
+             f"exceed inner_radius {inner_radius!r} with a finite square", outer_radius)
+    _require(n >= 0, "ring", "n", "be nonnegative", n)
+    check_size("ring spec key 'n'", n, (n, dims))
 
 
 def gaussian_blobs(classes: int, dims: int, centers_radius: float, sigma: float,
                    n_per_class: int, seed) -> Dataset:
     """Labeled isotropic Gaussian clusters around evenly placed centers."""
-    if classes < 2:
-        raise ContractViolation("gaussian_blobs needs at least 2 classes")
-    if sigma <= 0:
-        raise ContractViolation("sigma must be positive")
-    if dims < 1 or n_per_class < 1:
-        raise ContractViolation("dims and n_per_class must be positive")
-    _check_size("blobs", {"classes": classes, "n_per_class": n_per_class, "dims": dims})
+    _blobs_rules(classes, dims, centers_radius, sigma, n_per_class)
     rng = np.random.default_rng(seed)
     centers = _class_centers(classes, dims, centers_radius, rng)
     inputs = np.repeat(centers, n_per_class, axis=0)
@@ -108,11 +135,7 @@ def gaussian_blobs(classes: int, dims: int, centers_radius: float, sigma: float,
 
 def ood_uniform(dims: int, low: float, high: float, n: int, seed) -> Dataset:
     """Unlabeled i.i.d. uniform samples over the box [low, high]^dims."""
-    if not (low < high and math.isfinite(high - low)):
-        raise ContractViolation(f"need low < high with a finite high - low, got [{low}, {high}]")
-    if dims < 0 or n < 0:
-        raise ContractViolation("dims and n must be nonnegative")
-    _check_size("uniform", {"n": n, "dims": dims})
+    _uniform_rules(dims, low, high, n)
     rng = np.random.default_rng(seed)
     inputs = rng.uniform(low, high, size=(n, dims))
     return Dataset(inputs)
@@ -126,14 +149,7 @@ def ood_ring(inner_radius: float, outer_radius: float, n: int, seed,
     sqrt of a uniform draw between the squared radii, which is
     area-uniform over the annulus.
     """
-    if dims != 2:
-        raise ContractViolation("ood_ring only supports dims=2")
-    if not (0 < inner_radius < outer_radius) or math.isinf(outer_radius * outer_radius):
-        raise ContractViolation("need 0 < inner_radius < outer_radius with a finite "
-                                "outer_radius ** 2")
-    if n < 0:
-        raise ContractViolation("n must be nonnegative")
-    _check_size("ring", {"n": n, "dims": dims})
+    _ring_rules(inner_radius, outer_radius, n, dims)
     rng = np.random.default_rng(seed)
     theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
     radius = np.sqrt(rng.uniform(inner_radius ** 2, outer_radius ** 2, size=n))
@@ -335,7 +351,8 @@ JSON_TYPES = {
 REQUIRED = object()
 # kind -> (builder, {key: (JSON type, default or REQUIRED)}). Every spec
 # may also carry SPEC_KEYS, which are not builder arguments. An int is a
-# count, so it is nonnegative; a number under a POSITIVE key is above 0.
+# count, so it is nonnegative; SPEC_RULES holds the rest of what a
+# generated kind's values must satisfy.
 SPEC_KINDS = {
     "blobs": (gaussian_blobs, {"classes": (int, REQUIRED), "dims": (int, 2),
                                "centers_radius": (float, REQUIRED),
@@ -350,28 +367,24 @@ SPEC_KINDS = {
     "heldout": (_heldout, {}),
 }
 SPEC_KEYS = {"name": (str, None), "train_classes": (int, None)}
-POSITIVE = frozenset({"dims", "n_per_class", "sigma", "inner_radius", "outer_radius"})
+SPEC_RULES = {"blobs": _blobs_rules, "uniform": _uniform_rules, "ring": _ring_rules}
 
 
 def _spec_value(kind: str, key: str, value, json_type):
     if not JSON_TYPES[json_type](value):
         rule = json_type.__name__
-    elif key in POSITIVE and value <= 0:
-        rule = "positive"
     elif json_type is int and value < 0:
         rule = "nonnegative"
     else:
-        return json_type(value)
+        return value
     raise ContractViolation(f"{kind} spec key {key!r} must be {rule}, got {value!r}")
 
 
-def check_spec(spec) -> dict:
-    """The builder arguments of a data spec, defaults filled in.
-
-    Raises a ContractViolation naming the kind and the key on an unknown
-    kind or key, a missing key, a value of the wrong JSON type or sign, or
-    a set too large for numpy to index.
-    """
+def _spec_args(spec):
+    """The kind of a data spec and its builder arguments, defaults filled
+    in, after every check but its kind's rules: returns (kind, given,
+    args), given holding each value as the spec gives it and args each of
+    its key's Python type (a JSON 4 under a float key becomes 4.0)."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ContractViolation("data spec must be a mapping with a 'kind' key")
     kind = spec["kind"]
@@ -389,12 +402,26 @@ def check_spec(spec) -> dict:
             raise ContractViolation(f"{kind} spec is missing {key!r}")
         else:
             args[key] = default
-    if kind in SIZE_KEYS:
-        _check_size(kind, args)
-    return {key: args[key] for key in keys}
+    return kind, {key: args[key] for key in keys}, {
+        key: json_type(args[key]) for key, (json_type, _) in keys.items()}
+
+
+def check_spec(spec) -> dict:
+    """The builder arguments of a data spec, defaults filled in.
+
+    Raises a ContractViolation naming the kind and the key on an unknown
+    kind or key, a missing key, a value of the wrong JSON type, a negative
+    count, or a value its kind's SPEC_RULES reject, which include a set
+    too large for numpy to make.
+    """
+    kind, given, args = _spec_args(spec)
+    if kind in SPEC_RULES:
+        SPEC_RULES[kind](**given)  # so a message shows a JSON 0 as 0
+    return args
 
 
 def dataset_from_spec(spec: dict, seed) -> Dataset:
-    """Build a dataset from a declarative spec dict (the config file form)."""
-    args = check_spec(spec)
-    return SPEC_KINDS[spec["kind"]][0](**args, seed=seed)
+    """Build a dataset from a declarative spec dict (the config file form).
+    check_spec's checks all run once: the generator runs its kind's rules."""
+    kind, _, args = _spec_args(spec)
+    return SPEC_KINDS[kind][0](**args, seed=seed)

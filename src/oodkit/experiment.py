@@ -121,6 +121,8 @@ class ExperimentConfig:
         self.backbone_widths = [int(w) for w in self.backbone_widths]
         if len(self.backbone_widths) < 1 or any(w < 1 for w in self.backbone_widths):
             raise ContractViolation("backbone_widths must be a non-empty list of positive ints")
+        for fan_in, fan_out in zip(self.backbone_widths, self.backbone_widths[1:]):
+            data_mod.check_size("backbone_widths", self.backbone_widths, (fan_out, fan_in))
         try:
             self.score_kinds = [str(scores.ScoreKind(k).value) for k in self.score_kinds]
         except ValueError as exc:
@@ -149,14 +151,12 @@ class ExperimentConfig:
         """Check every data spec, so that train rejects a bad OOD spec
         before it trains; an OOD set is only built at evaluation."""
         in_spec = self.in_distribution
-        data_mod.check_spec(in_spec)
+        self._check_spec(in_spec)
         if in_spec["kind"] == "heldout":
             raise ContractViolation("in_distribution cannot be of kind 'heldout'")
-        if in_spec.get("classes", 2) < 2:
-            raise ContractViolation("in-distribution spec needs at least 2 classes")
         names = []
         for i, spec in enumerate(self.ood):
-            data_mod.check_spec(spec)
+            self._check_spec(spec)
             kind = spec["kind"]
             if "train_classes" in spec:
                 raise ContractViolation(f"ood[{i}]: train_classes belongs to in_distribution")
@@ -173,6 +173,15 @@ class ExperimentConfig:
             if name in names:
                 raise ContractViolation(f"OOD set name {name!r} is used twice")
             names.append(name)
+
+    def _check_spec(self, spec: dict):
+        """data.check_spec, and a generated set must be as wide as the
+        backbone's input."""
+        dims = data_mod.check_spec(spec).get("dims")
+        width = self.backbone_widths[0]
+        if dims is not None and dims != width:
+            raise ContractViolation(f"{spec['kind']} spec key 'dims' must match the backbone "
+                                    f"input width {width}, got {dims}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -277,6 +286,10 @@ class InputScaler:
         return cls(mean=np.zeros(dim), scale=np.ones(dim))
 
     def apply(self, ds: data_mod.Dataset) -> data_mod.Dataset:
+        if ds.inputs.shape[1] != len(self.mean):
+            raise ContractViolation(
+                f"inputs of width {ds.inputs.shape[1]} do not match the training "
+                f"split's width {len(self.mean)}")
         inputs = ds.inputs - self.mean
         inputs /= self.scale  # in place: one data-sized temporary, not two
         return data_mod.Dataset(inputs, ds.targets)
@@ -343,6 +356,9 @@ def _check_seed(state: TrainState, data: SeedData):
             f"data of seed {data.seed} cannot evaluate a state of seed {state.seed}")
 
 
+# An overflow shows up as a ContractViolation on non-finite entries, not
+# as a warning.
+@np.errstate(over="ignore", invalid="ignore")
 def evaluate_checkpoint(cfg: ExperimentConfig, state: TrainState, data: SeedData):
     """Accuracy, detection metrics and score diagnostics for one trained
     state, on the SeedData of its seed.
@@ -550,6 +566,7 @@ def compare_heads(cfgs, reports=None) -> ComparisonReport:
 # ---------------------------------------------------------------------------
 # histograms and score dumps
 
+@np.errstate(over="ignore", invalid="ignore")  # as evaluate_checkpoint
 def histogram_report(cfg: ExperimentConfig, state: TrainState, data: SeedData,
                      bins: int) -> dict:
     """Binned in/OOD counts of inference entropy and, for distance heads,

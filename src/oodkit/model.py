@@ -348,27 +348,51 @@ def fit(state: TrainState, stream: BatchStream, cfg: SgdConfig):
     training accuracy: the share of the epoch's rows that the pre-update
     parameters of their own step classified correctly. No extra pass over
     the training set runs.
+
+    Raises TrainingDiverged as sgd_step does, and also when the parameters
+    of the last step give its batch non-finite features or loss.
     """
-    trace = []
+    trace, last = [], None
     lr = cfg.learning_rate
     decay_at = set(int(e) for e in cfg.decay_epochs)
-    for epoch in range(1, cfg.epochs + 1):
-        if epoch in decay_at:
-            lr = lr / cfg.decay_factor
-        losses, correct, rows = [], 0, 0
-        # sgd_step reports an overflow as TrainingDiverged, not as a warning.
-        with np.errstate(over="ignore", invalid="ignore"):
+    # sgd_step reports an overflow as TrainingDiverged, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.epochs + 1):
+            if epoch in decay_at:
+                lr = lr / cfg.decay_factor
+            losses, correct, rows = [], 0, 0
             for bi, (inputs, targets) in enumerate(stream.for_epoch(epoch)):
                 loss, batch_correct = sgd_step(state, inputs, targets, cfg, lr=lr,
                                                epoch=epoch, batch_index=bi)
                 losses.append(loss)
                 correct += batch_correct
                 rows += len(targets)
-        state.epoch = epoch
-        trace.append({
-            "epoch": epoch,
-            "learning_rate": lr,
-            "mean_loss": float(np.mean(losses)) if losses else 0.0,
-            "train_accuracy": correct / rows if rows else 0.0,
-        })
+                last = (inputs, targets, epoch, bi)
+            state.epoch = epoch
+            trace.append({
+                "epoch": epoch,
+                "learning_rate": lr,
+                "mean_loss": float(np.mean(losses)) if losses else 0.0,
+                "train_accuracy": correct / rows if rows else 0.0,
+            })
+        if last is not None:
+            _check_last_step(state, *last)
     return state, trace
+
+
+def _check_last_step(state: TrainState, inputs, targets, epoch: int, batch_index: int):
+    """Raise TrainingDiverged, naming the step, when the parameters it left
+    give its batch non-finite features or loss. sgd_step checks each
+    step's parameters before it updates them, so this covers the last."""
+    features = backbone_forward(state.backbone, inputs)
+    if not np.isfinite(features).all():
+        what = "features"
+    else:
+        loss = heads.training_loss(state.head, features, targets)
+        if np.isfinite(loss):
+            return
+        what = f"loss {loss}"
+    raise TrainingDiverged(
+        f"non-finite {what} after the update of epoch {epoch} batch {batch_index}",
+        epoch=epoch, batch_index=batch_index,
+    )

@@ -13,6 +13,7 @@ import pytest
 from oodkit import data, experiment
 from oodkit.cli import cli_main
 from oodkit.data import BatchStream
+from oodkit.model import make_train_state
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -68,6 +69,10 @@ class TestUsageErrors:
     def test_help_exits_0(self, capsys):
         assert cli_main(["--help"]) == 0
         capsys.readouterr()
+
+
+RING = {"name": "ring", "kind": "ring", "inner_radius": 8.0, "outer_radius": 12.0, "n": 60}
+BOX = {"name": "box", "kind": "uniform", "low": -12.0, "high": 12.0, "n": 60}
 
 
 def drop(section, key):
@@ -226,6 +231,59 @@ class TestMalformedConfig:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert trained == []
 
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"ood": [{**RING, "dims": 3}]}, "ring spec key 'dims' must be 2, got 3"),
+        ({"ood": [{**RING, "inner_radius": 12.0, "outer_radius": 8.0}]},
+         "ring spec key 'outer_radius' must exceed inner_radius 12.0 with a finite square, "
+         "got 8.0"),
+        ({"ood": [{**RING, "outer_radius": 1e308}]},
+         "ring spec key 'outer_radius' must exceed inner_radius 8.0 with a finite square, "
+         "got 1e+308"),
+        ({"ood": [{**BOX, "low": 12.0, "high": -12.0}]},
+         "uniform spec key 'high' must exceed low 12.0 by a finite amount, got -12.0"),
+        ({"ood": [{**BOX, "low": -1e308, "high": 1e308}]},
+         "uniform spec key 'high' must exceed low -1e+308 by a finite amount, got 1e+308"),
+        ({"ood": [{"name": "blobs", "kind": "blobs", "classes": 1, "centers_radius": 4.0,
+                   "sigma": 0.5, "n_per_class": 20}]},
+         "blobs spec key 'classes' must give at least 2 classes, got 1"),
+        ({"ood": [{**BOX, "dims": 1}]},
+         "uniform spec key 'dims' must match the backbone input width 2, got 1"),
+        ({"ood": [{**BOX, "dims": 3}]},
+         "uniform spec key 'dims' must match the backbone input width 2, got 3"),
+        ({"ood": [{**BOX, "n": 2**61}]},
+         "uniform spec key 'n' asks for more than 9223372036854775807 bytes, "
+         "got 2305843009213693952"),
+        ({"backbone_widths": [2, 2**62]},
+         "backbone_widths asks for more than 9223372036854775807 elements, "
+         "got [2, 4611686018427387904]"),
+        ({"backbone_widths": [2, 2**61]},
+         "backbone_widths asks for more than 9223372036854775807 bytes, "
+         "got [2, 2305843009213693952]"),
+    ], ids=["ring_dims_3", "ring_radii_swapped", "ring_square_overflows", "box_low_above_high",
+            "box_range_overflows", "ood_blobs_one_class", "box_dims_1", "box_dims_3",
+            "box_bytes_too_many", "layer_elements_too_many", "layer_bytes_too_many"])
+    def test_what_eval_would_reject_is_rejected_before_training(
+            self, config_path, tmp_path, capsys, monkeypatch, overrides, message):
+        trained = []
+        monkeypatch.setattr(experiment, "fit", lambda *args: trained.append(args))
+        assert cli_main(["train", "--config", str(config_path(**overrides))]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert trained == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "hist"])
+    def test_ood_file_of_another_width_exits_1_with_one_line(self, config_path, tmp_path,
+                                                             capsys, command):
+        ood = tmp_path / "ood.csv"
+        data.write_csv(data.Dataset([[0.0, 1.0, 2.0]], [0]), ood)
+        path = config_path(ood=[{"name": "file", "kind": "csv", "path": str(ood)}])
+        assert cli_main(["train", "--config", str(path)]) == 0
+        capsys.readouterr()
+        assert cli_main([command, "--config", str(path),
+                         "--checkpoint", str(tmp_path / "out" / "checkpoint_seed1.bin")]) == 1
+        assert capsys.readouterr().err == (
+            "error: inputs of width 3 do not match the training split's width 2\n")
 
     @pytest.mark.parametrize("val_fraction, train_rows, val_rows",
                              [(0.0, 120, 0), (0.9999, 0, 120)], ids=["no_val", "no_train"])
@@ -467,3 +525,31 @@ class TestDivergence:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("error: non-finite features at epoch 2 batch ")
+
+    def test_divergence_on_the_last_step_writes_no_checkpoint(self, tmp_path, capsys):
+        # One step per epoch: the update of the only step leaves finite
+        # parameters whose features overflow.
+        cfg = json.loads((Path(__file__).resolve().parent.parent
+                          / "configs" / "blobs_isomaxplus.json").read_text())
+        cfg["in_distribution"]["n_per_class"] = 20
+        cfg["sgd"].update(learning_rate=1e308, epochs=1, decay_epochs=[])
+        cfg.update(seeds=[1], out_dir=str(tmp_path / "out"))
+        path = tmp_path / "diverge.json"
+        path.write_text(json.dumps(cfg))
+        assert cli_main(["train", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: non-finite features after the update of epoch 1 batch 0\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "hist"])
+    def test_overflowing_checkpoint_exits_1_with_one_line(self, config_path, tmp_path,
+                                                          capsys, command):
+        path = config_path()
+        cfg = experiment.ExperimentConfig.from_dict(json.loads(path.read_text()))
+        state = make_train_state(cfg.backbone_widths, cfg.head, 3, 1)
+        state.backbone.weights[0][...] = 1e308
+        state.config_hash = cfg.config_hash()
+        experiment.save_checkpoint(state, tmp_path / "ckpt.bin")
+        assert cli_main([command, "--config", str(path),
+                         "--checkpoint", str(tmp_path / "ckpt.bin")]) == 1
+        assert capsys.readouterr().err == "error: features contains non-finite entries\n"

@@ -358,6 +358,8 @@ class TestDatasetFromSpec:
 
 
 RING = {"kind": "ring", "inner_radius": 8.0, "outer_radius": 12.0, "n": 5}
+BOX = {"kind": "uniform", "low": -1.0, "high": 1.0, "n": 5}
+BLOBS = {"kind": "blobs", "classes": 3, "centers_radius": 4.0, "sigma": 0.5, "n_per_class": 5}
 
 
 class TestCheckSpec:
@@ -403,6 +405,30 @@ class TestCheckSpec:
         with pytest.raises(ContractViolation) as info:
             check_spec(spec)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("spec, message", [
+        ({**RING, "dims": 3}, "ring spec key 'dims' must be 2, got 3"),
+        ({**RING, "inner_radius": 12.0},
+         "ring spec key 'outer_radius' must exceed inner_radius 12.0 with a finite square, "
+         "got 12.0"),
+        ({**RING, "outer_radius": 1e200},
+         "ring spec key 'outer_radius' must exceed inner_radius 8.0 with a finite square, "
+         "got 1e+200"),
+        ({**BOX, "high": -1.0}, "uniform spec key 'high' must exceed low -1.0 by a finite "
+                                "amount, got -1.0"),
+        ({**BOX, "low": -1e308, "high": 1e308},
+         "uniform spec key 'high' must exceed low -1e+308 by a finite amount, got 1e+308"),
+        ({**BOX, "n": 2**61}, "uniform spec key 'n' asks for more than 9223372036854775807 "
+                              "bytes, got 2305843009213693952"),
+        ({**BLOBS, "classes": 1}, "blobs spec key 'classes' must give at least 2 classes, got 1"),
+    ], ids=["ring_dims_3", "ring_empty", "ring_square_overflows", "box_empty",
+            "box_range_overflows", "box_bytes", "one_class"])
+    def test_generator_rejects_what_check_spec_rejects(self, spec, message):
+        # dataset_from_spec leaves the kind's rules to the generator.
+        for run in (check_spec, lambda spec: dataset_from_spec(spec, seed=0)):
+            with pytest.raises(ContractViolation) as info:
+                run(spec)
+            assert str(info.value) == message
 
     @pytest.mark.parametrize("spec, key", [
         ({**RING, "n": 10**20}, "'n'"),

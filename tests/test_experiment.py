@@ -193,6 +193,13 @@ def collected(refs):
 
 
 class TestSeedData:
+    @pytest.mark.parametrize("standardize", [True, False])
+    def test_scaler_rejects_data_of_another_width(self, standardize):
+        _, data = seed_data(tiny_config(standardize_inputs=standardize), 1)
+        with pytest.raises(ContractViolation) as info:
+            data.scaler.apply(data_mod.Dataset(np.zeros((4, 3))))
+        assert str(info.value) == "inputs of width 3 do not match the training split's width 2"
+
     def test_data_of_another_seed_rejected(self):
         cfg = tiny_config()
         state = make_train_state(cfg.backbone_widths, cfg.head, 3, seed=1)
@@ -533,3 +540,16 @@ class TestDivergence:
             assert warning.startswith(f"seed {seed}: training diverged: non-finite features")
             assert "epoch 2 batch" in warning
         validate_report(report.to_dict())
+
+    def test_run_experiment_skips_a_seed_that_diverges_on_its_last_step(self):
+        # One step per epoch: the update of the only step leaves finite
+        # parameters whose features overflow.
+        cfg = diverging_config()
+        cfg.in_distribution["n_per_class"] = 20
+        cfg.sgd.learning_rate = 1e308
+        cfg.sgd.epochs = 1
+        report = run_experiment(cfg)
+        assert report.per_seed == []
+        assert report.warnings == [
+            f"seed {seed}: training diverged: non-finite features after the update of "
+            f"epoch 1 batch 0" for seed in (1, 2)]

@@ -325,6 +325,15 @@ class TestFit:
         fit(state, stream(state, ds), SgdConfig(epochs=10))
         assert abs(state.head.distance_scale) >= 1.0
 
+    @pytest.mark.parametrize("kind", heads.HEAD_KINDS)
+    def test_last_step_that_overflows_the_features_raises_diverged(self, kind):
+        # One batch per epoch, so the step that overflows is the last.
+        state, ds = blob_state_and_data(kind, n=30)
+        with pytest.raises(TrainingDiverged) as info:
+            fit(state, stream(state, ds), SgdConfig(learning_rate=1e308, epochs=1))
+        assert str(info.value) == "non-finite features after the update of epoch 1 batch 0"
+        assert (info.value.epoch, info.value.batch_index) == (1, 0)
+
     def test_invalid_decay_epochs(self):
         with pytest.raises(ContractViolation):
             SgdConfig(epochs=5, decay_epochs=[3, 2])
