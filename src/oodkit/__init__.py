@@ -9,7 +9,6 @@ standard AUROC / TNR@TPR95 / DTACC metrics.
 from .numerics import (
     ContractViolation,
     pairwise_euclidean,
-    row_normalize,
     shannon_entropy_rows,
     stable_softmax_rows,
 )

@@ -78,8 +78,9 @@ def _cmd_train(args) -> int:
     # An overflow shows up as a ContractViolation, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         features = backbone_forward(state.backbone, data.val.inputs)
-        accuracy = metrics.classification_accuracy(
-            heads.predict(state.head, features), data.val.targets)
+        logits = heads.head_outputs(state.head, features).logits
+        accuracy = metrics.classification_accuracy(np.argmax(logits, axis=1),
+                                                   data.val.targets)
     summary = {"seed": seed, "val_accuracy": accuracy,
                "checkpoint": str(ckpt_path), "epochs": cfg.sgd.epochs}
     with open(out / f"train_summary_seed{seed}.json", "w", encoding="utf-8") as f:

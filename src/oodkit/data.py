@@ -91,8 +91,24 @@ def _require(ok: bool, kind: str, key: str, rule: str, value):
         raise ContractViolation(f"{kind} spec key {key!r} must {rule}, got {value!r}")
 
 
+def _require_reach(kind: str, key: str, value, elements: int, largest: float, formula: str):
+    """Require 4 * elements * largest**2 to be finite, largest being the
+    greatest magnitude a drawn coordinate can take and formula the product
+    in the spec's terms. Any two coordinates then lie within 2 * largest
+    of each other, so every row's squared norm, and the input scaler's
+    sums over the set, stay finite."""
+    gap = 2.0 * largest
+    _require(elements == 0 or math.isfinite(elements * gap * gap), kind, key,
+             f"keep 4 * {formula} finite", value)
+
+
 # The rules of each generated kind, run by its generator and by check_spec
 # alike. Every comparison fails on NaN.
+
+# A blobs coordinate lies within this many sigmas of its center: a
+# standard normal draw lands beyond 16 with probability about 1e-57.
+_BLOBS_REACH_SIGMAS = 16
+
 
 def _blobs_rules(classes, dims, centers_radius, sigma, n_per_class):
     _require(classes >= 2, "blobs", "classes", "give at least 2 classes", classes)
@@ -100,6 +116,12 @@ def _blobs_rules(classes, dims, centers_radius, sigma, n_per_class):
     _require(sigma > 0, "blobs", "sigma", "be positive", sigma)
     _require(n_per_class >= 1, "blobs", "n_per_class", "be positive", n_per_class)
     check_size("blobs spec key 'n_per_class'", n_per_class, (classes, n_per_class, dims))
+    spread = _BLOBS_REACH_SIGMAS * float(sigma)
+    radius = abs(float(centers_radius))
+    key, value = ("sigma", sigma) if spread >= radius else ("centers_radius", centers_radius)
+    _require_reach("blobs", key, value, classes * n_per_class * dims, radius + spread,
+                   f"classes * n_per_class * dims * (|centers_radius| + "
+                   f"{_BLOBS_REACH_SIGMAS} * sigma)**2")
 
 
 def _uniform_rules(dims, low, high, n):
@@ -108,6 +130,9 @@ def _uniform_rules(dims, low, high, n):
              f"exceed low {low!r} by a finite amount", high)
     _require(n >= 0, "uniform", "n", "be nonnegative", n)
     check_size("uniform spec key 'n'", n, (n, dims))
+    key, value = ("high", high) if abs(high) >= abs(low) else ("low", low)
+    _require_reach("uniform", key, value, n * dims, abs(float(value)),
+                   "n * dims * max(|low|, |high|)**2")
 
 
 def _ring_rules(inner_radius, outer_radius, n, dims):

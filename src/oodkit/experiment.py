@@ -278,8 +278,16 @@ class InputScaler:
 
     @classmethod
     def fit(cls, inputs: np.ndarray) -> "InputScaler":
-        std = inputs.std(axis=0)
-        return cls(mean=inputs.mean(axis=0), scale=np.maximum(std, 1e-12))
+        """Rejects inputs whose mean or standard deviation overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, std = inputs.mean(axis=0), inputs.std(axis=0)
+        overflowed = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+        if len(overflowed):
+            j = overflowed[0]
+            raise ContractViolation(
+                f"input coordinate {j} of the training split overflows the scaler: "
+                f"mean {float(mean[j])!r}, scale {float(std[j])!r}")
+        return cls(mean=mean, scale=np.maximum(std, 1e-12))
 
     @classmethod
     def identity(cls, dim: int) -> "InputScaler":

@@ -232,7 +232,16 @@ def _check_features(head: ClassifierHead, features) -> np.ndarray:
         raise ContractViolation(
             f"feature dimension {features.shape[1]} does not match head dimension {head.dim}"
         )
+    if _norms_overflow(head, features):
+        raise ContractViolation("features have a row whose squared norm overflows float64")
     return features
+
+
+def _norms_overflow(head: ClassifierHead, features: np.ndarray) -> bool:
+    """Whether the isomaxplus head would divide a row of finite features by
+    an infinite norm, which maps the row to the zero vector."""
+    return (isinstance(head, IsoMaxPlusHead)
+            and not np.isfinite(np.einsum("ij,ij->i", features, features)).all())
 
 
 def _check_targets(head: ClassifierHead, targets, n: int) -> np.ndarray:
@@ -247,21 +256,11 @@ def _check_targets(head: ClassifierHead, targets, n: int) -> np.ndarray:
     return targets
 
 
-def _checked_forward(head: ClassifierHead, features):
-    """head.forward on checked features: (logits, distances or None)."""
-    return head.forward(_check_features(head, features))
-
-
 def feature_prototype_distances(head: ClassifierHead, features) -> np.ndarray:
-    """Distance matrix (n x classes) for the distance-based heads.
-
-    isomax uses raw vectors; isomaxplus normalizes both sides. The distance
-    scale never appears here, only in the logits.
-    """
-    distances = _checked_forward(head, features)[1]
-    if distances is None:
+    """head_outputs(head, features).distances, for a distance head."""
+    if head.kind not in DISTANCE_HEAD_KINDS:
         raise ContractViolation(f"head kind {head.kind!r} has no feature-prototype distances")
-    return distances
+    return head_outputs(head, features).distances
 
 
 def training_loss(head: ClassifierHead, features, targets) -> float:
@@ -284,26 +283,25 @@ def _mean_loss(head: ClassifierHead, features: np.ndarray, targets: np.ndarray) 
 
 
 def inference_probabilities(head: ClassifierHead, features) -> np.ndarray:
-    """Softmax of the raw logits with the entropic scale removed."""
-    return stable_softmax_rows(_checked_forward(head, features)[0], 1.0)
+    """head_outputs(head, features).probabilities."""
+    return head_outputs(head, features).probabilities
 
 
 def predict(head: ClassifierHead, features) -> np.ndarray:
-    """Argmax class per row; ties break toward the lowest class index.
-
-    For the distance heads this is the nearest-prototype class whenever
-    the distance scale is nonzero.
-    """
-    return np.argmax(_checked_forward(head, features)[0], axis=1)
+    """Argmax of head_outputs(head, features).logits per row; ties break
+    toward the lowest class index."""
+    return np.argmax(head_outputs(head, features).logits, axis=1)
 
 
 @dataclass(frozen=True)
 class HeadOutputs:
     """What evaluation reads from one head on one feature matrix.
 
-    distances is None for the softmax head; probabilities are the
-    inference probabilities (entropic scale removed) and entropy is their
-    per-row Shannon entropy in nats.
+    distances (n x classes) is None for the softmax head: isomax measures
+    raw vectors and isomaxplus normalizes both sides, and the distance
+    scale enters only the logits. probabilities are the inference
+    probabilities, the softmax of the logits with the entropic scale
+    removed, and entropy is their per-row Shannon entropy in nats.
     """
 
     distances: np.ndarray | None  # (n, classes)
@@ -313,10 +311,11 @@ class HeadOutputs:
 
 
 def head_outputs(head: ClassifierHead, features) -> HeadOutputs:
-    """Distances, logits, inference probabilities and entropy, each computed
-    once and bit-identical to feature_prototype_distances and
-    inference_probabilities."""
-    logits, distances = _checked_forward(head, features)
+    """The checked read of a head: distances, logits, inference
+    probabilities and entropy, each computed once. It rejects features that
+    are not a finite matrix of the head's width, and, for isomaxplus, rows
+    whose squared norm overflows."""
+    logits, distances = head.forward(_check_features(head, features))
     probabilities = stable_softmax_rows(logits, 1.0)
     return HeadOutputs(distances=distances, logits=logits, probabilities=probabilities,
                        entropy=shannon_entropy_rows(probabilities))

@@ -34,34 +34,28 @@ def _check_scores(values, name: str) -> np.ndarray:
     return v
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties assigned the average rank of their group."""
-    order = np.argsort(values, kind="mergesort")
-    sorted_vals = values[order]
-    is_start = np.empty(len(values), dtype=bool)
-    is_start[0] = True
-    is_start[1:] = sorted_vals[1:] != sorted_vals[:-1]
-    starts = np.flatnonzero(is_start)
-    counts = np.diff(np.append(starts, len(values)))
-    group_rank = starts + (counts - 1) / 2.0 + 1.0
-    ranks = np.empty(len(values))
-    ranks[order] = np.repeat(group_rank, counts)
-    return ranks
+def _threshold_scan(s: DetectionScoreSet):
+    """For each distinct observed score t, ascending: how many
+    in-distribution scores and how many OOD scores lie at or below t, as
+    (in_leq, out_leq), two int arrays."""
+    thresholds = np.unique(np.concatenate([s.in_scores, s.out_scores]))
+    return (np.searchsorted(np.sort(s.in_scores), thresholds, side="right"),
+            np.searchsorted(np.sort(s.out_scores), thresholds, side="right"))
 
 
 def auroc(s: DetectionScoreSet) -> float:
     """Probability that a random in-distribution score beats a random OOD score.
 
-    Rank-based O(n log n) evaluation of the Mann-Whitney statistic; ties
-    count one half. Midranks and the rank sum are exact half-integers in
-    float64 at these sizes, so the result equals the pairwise definition
-    bit for bit.
+    The Mann-Whitney statistic read from the threshold scan, ties counting
+    one half: each OOD score at t beats no in-distribution score above t
+    and ties those at t. Twice the statistic is an integer, so the result
+    is the pairwise definition, correctly rounded.
     """
     n, m = len(s.in_scores), len(s.out_scores)
-    pooled = np.concatenate([s.in_scores, s.out_scores])
-    ranks = _midranks(pooled)
-    u = ranks[:n].sum() - n * (n + 1) / 2.0
-    return float(u / (n * m))
+    in_leq, out_leq = _threshold_scan(s)
+    in_at, out_at = np.diff(in_leq, prepend=0), np.diff(out_leq, prepend=0)
+    twice_u = 2 * int((out_at * (n - in_leq)).sum()) + int((out_at * in_at).sum())
+    return twice_u / (2 * n * m)
 
 
 def tnr_at_tpr95(s: DetectionScoreSet) -> float:
@@ -72,15 +66,11 @@ def tnr_at_tpr95(s: DetectionScoreSet) -> float:
     TPR >= 0.95 the threshold falls back to -inf and the TNR is 0.
     """
     n, m = len(s.in_scores), len(s.out_scores)
-    in_sorted = np.sort(s.in_scores)
-    out_sorted = np.sort(s.out_scores)
-    candidates = np.unique(np.concatenate([s.in_scores, s.out_scores]))
-    tpr = (n - np.searchsorted(in_sorted, candidates, side="right")) / n
-    valid = np.flatnonzero(tpr >= 0.95)
+    in_leq, out_leq = _threshold_scan(s)
+    valid = np.flatnonzero((n - in_leq) / n >= 0.95)
     if len(valid) == 0:
         return 0.0
-    threshold = candidates[valid[-1]]
-    return float(np.searchsorted(out_sorted, threshold, side="right") / m)
+    return float(out_leq[valid[-1]] / m)
 
 
 def dtacc(s: DetectionScoreSet) -> float:
@@ -92,12 +82,8 @@ def dtacc(s: DetectionScoreSet) -> float:
     so the result never falls below it.
     """
     n, m = len(s.in_scores), len(s.out_scores)
-    in_sorted = np.sort(s.in_scores)
-    out_sorted = np.sort(s.out_scores)
-    candidates = np.unique(np.concatenate([s.in_scores, s.out_scores]))
-    in_leq = np.searchsorted(in_sorted, candidates, side="right")
-    out_gt = m - np.searchsorted(out_sorted, candidates, side="right")
-    risk = 0.5 * (in_leq / n) + 0.5 * (out_gt / m)
+    in_leq, out_leq = _threshold_scan(s)
+    risk = 0.5 * (in_leq / n) + 0.5 * ((m - out_leq) / m)
     return float(1.0 - min(risk.min(), 0.5))
 
 

@@ -283,9 +283,9 @@ def loss_and_gradients(state: TrainState, inputs, targets):
 
     One forward pass feeds the checked heads.training_loss and
     heads.backward, then backbone_backward. A row's prediction is the
-    argmax of its logits, ties going to the lowest class as in
-    heads.predict; the logits come from one unchecked head.forward on the
-    features that training_loss has checked.
+    argmax of its logits, ties going to the lowest class; the logits come
+    from one unchecked head.forward on the features that training_loss
+    has checked.
     """
     trace = forward_trace(state.backbone, inputs)
     features = trace[0]
@@ -308,8 +308,8 @@ def sgd_step(state: TrainState, inputs, targets, cfg: SgdConfig,
     buffer, and one nesterov_update moves the whole parameter buffer.
 
     Raises TrainingDiverged, naming the epoch and the batch, when the
-    forward features or the loss stop being finite; the state is then
-    left as it was.
+    forward features, their squared row norms under the isomaxplus head,
+    or the loss stop being finite; the state is then left as it was.
     """
     lr = cfg.learning_rate if lr is None else lr
     if np.size(targets) == 0:
@@ -317,13 +317,15 @@ def sgd_step(state: TrainState, inputs, targets, cfg: SgdConfig,
     try:
         loss, grads, correct = loss_and_gradients(state, inputs, targets)
     except ContractViolation:
-        # training_loss rejects non-finite features. From inputs that
-        # forward_trace accepts, they mean the parameters have grown until
-        # the forward pass overflowed; inputs it rejects fail again here.
-        if np.isfinite(backbone_forward(state.backbone, inputs)).all():
+        # training_loss rejects features the head cannot read. From inputs
+        # that forward_trace accepts, they mean the parameters have grown
+        # until the forward pass overflowed; inputs it rejects fail again
+        # here.
+        what = _unreadable(state, backbone_forward(state.backbone, inputs))
+        if what is None:
             raise
         raise TrainingDiverged(
-            f"non-finite features at epoch {epoch} batch {batch_index}",
+            f"non-finite {what} at epoch {epoch} batch {batch_index}",
             epoch=epoch, batch_index=batch_index,
         ) from None
     if not np.isfinite(loss):
@@ -350,7 +352,8 @@ def fit(state: TrainState, stream: BatchStream, cfg: SgdConfig):
     the training set runs.
 
     Raises TrainingDiverged as sgd_step does, and also when the parameters
-    of the last step give its batch non-finite features or loss.
+    of the last step give its batch features the head cannot read or a
+    non-finite loss.
     """
     trace, last = [], None
     lr = cfg.learning_rate
@@ -382,12 +385,12 @@ def fit(state: TrainState, stream: BatchStream, cfg: SgdConfig):
 
 def _check_last_step(state: TrainState, inputs, targets, epoch: int, batch_index: int):
     """Raise TrainingDiverged, naming the step, when the parameters it left
-    give its batch non-finite features or loss. sgd_step checks each
-    step's parameters before it updates them, so this covers the last."""
+    give its batch features the head cannot read or a non-finite loss.
+    sgd_step checks each step's parameters before it updates them, so this
+    covers the last."""
     features = backbone_forward(state.backbone, inputs)
-    if not np.isfinite(features).all():
-        what = "features"
-    else:
+    what = _unreadable(state, features)
+    if what is None:
         loss = heads.training_loss(state.head, features, targets)
         if np.isfinite(loss):
             return
@@ -396,3 +399,14 @@ def _check_last_step(state: TrainState, inputs, targets, epoch: int, batch_index
         f"non-finite {what} after the update of epoch {epoch} batch {batch_index}",
         epoch=epoch, batch_index=batch_index,
     )
+
+
+def _unreadable(state: TrainState, features: np.ndarray) -> str | None:
+    """What makes a batch's features unreadable by the state's head:
+    "features" when an entry is not finite, "feature norms" when a squared
+    row norm overflows under the isomaxplus head, or None."""
+    if not np.isfinite(features).all():
+        return "features"
+    if heads._norms_overflow(state.head, features):
+        return "feature norms"
+    return None

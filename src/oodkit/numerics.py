@@ -5,10 +5,11 @@ are freshly allocated.  Everything runs in 64-bit (gradient verification
 at tight tolerances is unreliable in 32-bit).
 
 Each public function checks its arguments once and then calls a private
-kernel (`_normalize_rows`, `_pairwise`, `_softmax_rows`) that takes
-checked arrays: 2-D, float64 and finite. Callers that have already
-checked their arrays call the kernels directly; the arithmetic, and so
-every result, is the same either way.
+kernel (`_pairwise`, `_softmax_rows`) that takes checked arrays: 2-D,
+float64 and finite. Callers that have already checked their arrays call
+the kernels directly; the arithmetic, and so every result, is the same
+either way. `_normalize_rows` is such a kernel with no public function:
+the isomaxplus head is its checked caller.
 """
 
 from __future__ import annotations
@@ -48,18 +49,9 @@ def as_labels(values) -> np.ndarray:
     return np.asarray(m, dtype=np.int64)
 
 
-def row_normalize(m, eps: float = NORM_EPS) -> np.ndarray:
-    """Scale each row to unit 2-norm.
-
-    Rows with norm below eps are divided by eps instead, so a zero row
-    maps to a zero row rather than NaN.
-    """
-    if eps <= 0:
-        raise ContractViolation(f"eps must be positive, got {eps}")
-    return _normalize_rows(as_matrix(m), eps)
-
-
 def _normalize_rows(m: np.ndarray, eps: float = NORM_EPS) -> np.ndarray:
+    """Scale each row to unit 2-norm. Rows with norm below eps are divided
+    by eps instead, so a zero row maps to a zero row rather than NaN."""
     norms = np.sqrt(np.einsum("ij,ij->i", m, m))
     return m / np.maximum(norms, eps)[:, np.newaxis]
 

@@ -19,8 +19,8 @@ from oodkit.numerics import (
     NORM_EPS,
     ContractViolation,
     as_matrix,
+    _normalize_rows,
     pairwise_euclidean,
-    row_normalize,
     stable_softmax_rows,
 )
 
@@ -136,7 +136,7 @@ def _logits_oracle(head, features):
         return features @ head.weights.T + head.bias
     if isinstance(head, IsoMaxHead):
         return -pairwise_euclidean(features, head.prototypes)
-    distances = pairwise_euclidean(row_normalize(features), row_normalize(head.prototypes))
+    distances = pairwise_euclidean(_normalize_rows(features), _normalize_rows(head.prototypes))
     return -abs(head.distance_scale[0]) * distances
 
 
@@ -191,8 +191,8 @@ def head_backward_oracle(head, features, targets):
         return d_features, {"prototypes": d_prototypes}
 
     if isinstance(head, IsoMaxPlusHead):
-        fhat = row_normalize(features)
-        phat = row_normalize(head.prototypes)
+        fhat = _normalize_rows(features)
+        phat = _normalize_rows(head.prototypes)
         distances = pairwise_euclidean(fhat, phat)
         s = abs(head.distance_scale[0])
         g = _loss_grad_wrt_logits_oracle(head, -s * distances, targets)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from oodkit import data, experiment
@@ -73,6 +74,10 @@ class TestUsageErrors:
 
 RING = {"name": "ring", "kind": "ring", "inner_radius": 8.0, "outer_radius": 12.0, "n": 60}
 BOX = {"name": "box", "kind": "uniform", "low": -12.0, "high": 12.0, "n": 60}
+BLOBS = {"kind": "blobs", "classes": 3, "dims": 2, "centers_radius": 4.0, "sigma": 0.5,
+         "n_per_class": 40}
+BLOBS_REACH = ("blobs spec key 'sigma' must keep 4 * classes * n_per_class * dims * "
+               "(|centers_radius| + 16 * sigma)**2 finite, got ")
 
 
 def drop(section, key):
@@ -260,15 +265,38 @@ class TestMalformedConfig:
         ({"backbone_widths": [2, 2**61]},
          "backbone_widths asks for more than 9223372036854775807 bytes, "
          "got [2, 2305843009213693952]"),
+        # Sets whose coordinates overflow once squared.
+        ({"in_distribution": {**BLOBS, "sigma": 1e200}}, BLOBS_REACH + "1e+200"),
+        ({"ood": [{**BOX, "low": -1e200, "high": 1e200}]},
+         "uniform spec key 'high' must keep 4 * n * dims * max(|low|, |high|)**2 finite, "
+         "got 1e+200"),
+        ({"ood": [{**BLOBS, "name": "blobs", "classes": 2, "sigma": 1e308,
+                   "n_per_class": 20}]}, BLOBS_REACH + "1e+308"),
     ], ids=["ring_dims_3", "ring_radii_swapped", "ring_square_overflows", "box_low_above_high",
             "box_range_overflows", "ood_blobs_one_class", "box_dims_1", "box_dims_3",
-            "box_bytes_too_many", "layer_elements_too_many", "layer_bytes_too_many"])
+            "box_bytes_too_many", "layer_elements_too_many", "layer_bytes_too_many",
+            "in_distribution_sigma_1e200", "box_1e200", "ood_blobs_sigma_1e308"])
     def test_what_eval_would_reject_is_rejected_before_training(
             self, config_path, tmp_path, capsys, monkeypatch, overrides, message):
         trained = []
         monkeypatch.setattr(experiment, "fit", lambda *args: trained.append(args))
         assert cli_main(["train", "--config", str(config_path(**overrides))]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert trained == []
+        assert not (tmp_path / "out").exists()
+
+    def test_training_file_that_overflows_the_scaler_is_rejected_before_training(
+            self, config_path, tmp_path, capsys, monkeypatch):
+        # Each value is finite, but their sum is not.
+        path = tmp_path / "huge.csv"
+        data.write_csv(data.Dataset(np.full((40, 2), 1e307), np.arange(40) % 2), path)
+        trained = []
+        monkeypatch.setattr(experiment, "fit", lambda *args: trained.append(args))
+        cfg = config_path(in_distribution={"kind": "csv", "path": str(path)})
+        assert cli_main(["train", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "error: input coordinate 0 of the training split overflows the scaler: "
+            "mean inf, scale inf\n")
         assert trained == []
         assert not (tmp_path / "out").exists()
 
@@ -524,7 +552,8 @@ class TestDivergence:
         assert cli_main(["train", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert err.startswith("error: non-finite features at epoch 2 batch ")
+        # The feature norms overflow under isomaxplus before the features do.
+        assert err.startswith("error: non-finite feature norms at epoch 1 batch ")
 
     def test_divergence_on_the_last_step_writes_no_checkpoint(self, tmp_path, capsys):
         # One step per epoch: the update of the only step leaves finite
@@ -541,15 +570,25 @@ class TestDivergence:
             "error: non-finite features after the update of epoch 1 batch 0\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("scale, message", [
+        (None, "features contains non-finite entries"),
+        # Finite features whose squared row norms overflow: isomaxplus
+        # would score zero vectors.
+        (1e160, "features have a row whose squared norm overflows float64"),
+    ], ids=["features_overflow", "feature_norms_overflow"])
     @pytest.mark.parametrize("command", ["eval", "hist"])
     def test_overflowing_checkpoint_exits_1_with_one_line(self, config_path, tmp_path,
-                                                          capsys, command):
+                                                          capsys, command, scale, message):
         path = config_path()
         cfg = experiment.ExperimentConfig.from_dict(json.loads(path.read_text()))
         state = make_train_state(cfg.backbone_widths, cfg.head, 3, 1)
-        state.backbone.weights[0][...] = 1e308
+        if scale is None:
+            state.backbone.weights[0][...] = 1e308
+        else:
+            state.backbone.weights[0][...] *= scale
+            state.backbone.biases[0][...] *= scale
         state.config_hash = cfg.config_hash()
         experiment.save_checkpoint(state, tmp_path / "ckpt.bin")
         assert cli_main([command, "--config", str(path),
                          "--checkpoint", str(tmp_path / "ckpt.bin")]) == 1
-        assert capsys.readouterr().err == "error: features contains non-finite entries\n"
+        assert capsys.readouterr().err == f"error: {message}\n"

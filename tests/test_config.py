@@ -8,6 +8,7 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -19,8 +20,10 @@ from oodkit.experiment import (
     save_checkpoint,
     seed_data,
 )
-from oodkit.model import make_train_state
+from oodkit.heads import head_outputs
+from oodkit.model import backbone_forward, make_train_state
 from oodkit.numerics import ContractViolation
+from oodkit.scores import compute_score
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = {head: ROOT / "configs" / f"blobs_{head}.json"
@@ -159,20 +162,32 @@ def mutated(base: dict, path: tuple, value) -> dict:
 
 
 def load_and_build(raw: dict):
-    """Load raw and build its sets. Returns where a ContractViolation
-    stopped it ("load" or "build", with the message), or None; any other
-    exception propagates."""
+    """Load raw, build and standardize its sets, and score each with a
+    fresh state of the config. Returns where a ContractViolation stopped
+    it ("load" or "build", with the message), or None; any other exception
+    propagates, and so does an intermediate that is not finite."""
     try:
         cfg = ExperimentConfig.from_dict(raw)
     except ContractViolation:
         return "load"
     try:
-        _, data = seed_data(cfg, cfg.seeds[0])
-        for _ in ood_sets(cfg, data):
-            pass
+        train, data = seed_data(cfg, cfg.seeds[0])
+        state = make_train_state(cfg.backbone_widths, cfg.head, train.class_count,
+                                 cfg.seeds[0], cfg.entropic_scale)
+        assert np.isfinite(data.scaler.mean).all() and np.isfinite(data.scaler.scale).all()
+        for ds in [data.val] + [ood for _, ood in ood_sets(cfg, data)]:
+            assert np.isfinite(ds.inputs).all()
+            features = backbone_forward(state.backbone, ds.inputs)
+            outputs = head_outputs(state.head, features)
+            for kind in cfg.score_kinds:
+                assert np.isfinite(compute_score(kind, outputs)).all()
     except ContractViolation as exc:
         return "build", str(exc)
     return None
+
+
+def fails_only_on_an_empty_split(outcome) -> bool:
+    return outcome in (None, "load") or bool(EMPTY_SPLIT.fullmatch(outcome[1]))
 
 
 EDGE_VALUES = [None, True, "x", [], {}, -1, 0, 5.5, 1e308, float("nan"), float("inf"),
@@ -189,13 +204,13 @@ def test_edge_values_fail_at_load_or_on_an_empty_split(base):
     for path in json_paths(base):
         for value in EDGE_VALUES:
             outcome = load_and_build(mutated(base, path, value))
-            if outcome not in (None, "load"):
-                assert EMPTY_SPLIT.fullmatch(outcome[1]), (path, value, outcome)
+            assert fails_only_on_an_empty_split(outcome), (path, value, outcome)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(derandomize=True, database=None, max_examples=1000, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.sampled_from(MUTATIONS), JSON_VALUES)
-def test_any_single_value_loads_or_is_a_contract_violation(mutation, value):
-    load_and_build(mutated(*mutation, value))
+def test_any_single_value_loads_and_scores_or_fails_on_an_empty_split(mutation, value):
+    outcome = load_and_build(mutated(*mutation, value))
+    assert fails_only_on_an_empty_split(outcome), (mutation[1], value, outcome)

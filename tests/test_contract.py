@@ -50,7 +50,6 @@ BACKBONE = oodkit.make_backbone([3, 4, 3], np.random.default_rng(2))
 CASES = {
     "pairwise_euclidean[a]": lambda v: oodkit.pairwise_euclidean(matrix(v), matrix()),
     "pairwise_euclidean[b]": lambda v: oodkit.pairwise_euclidean(matrix(), matrix(v)),
-    "row_normalize": lambda v: oodkit.row_normalize(matrix(v)),
     "stable_softmax_rows": lambda v: oodkit.stable_softmax_rows(matrix(v), 10.0),
     "shannon_entropy_rows": lambda v: oodkit.shannon_entropy_rows(constant(v, 2)),
     "sgd_step": lambda v: oodkit.sgd_step(
@@ -94,12 +93,8 @@ def test_public_entry_point_rejects_a_non_finite_input(case, value):
 def test_kernels_equal_their_public_functions(n):
     rng = np.random.default_rng(n)
     a = rng.standard_normal((n, 5)) * 10.0
-    a[0] = 0.0  # a zero row takes the eps branch of the normalization
     b = rng.standard_normal((4, 5))
     np.testing.assert_array_equal(numerics._pairwise(a, b), oodkit.pairwise_euclidean(a, b))
-    np.testing.assert_array_equal(numerics._normalize_rows(a), oodkit.row_normalize(a))
-    np.testing.assert_array_equal(numerics._normalize_rows(a, 0.5),
-                                  oodkit.row_normalize(a, 0.5))
     for scale in (1.0, 10.0):
         np.testing.assert_array_equal(numerics._softmax_rows(a, scale),
                                       oodkit.stable_softmax_rows(a, scale))

@@ -55,7 +55,7 @@ def tiny_config(head="isomaxplus", **overrides):
 
 def diverging_config():
     """The shipped isomaxplus config at a learning rate that overflows the
-    features in epoch 2 while every parameter stays finite."""
+    squared feature norms in epoch 1 while every parameter stays finite."""
     path = Path(__file__).resolve().parent.parent / "configs" / "blobs_isomaxplus.json"
     cfg = ExperimentConfig.from_dict(json.loads(path.read_text(encoding="utf-8")))
     cfg.sgd.learning_rate = 1e6
@@ -537,8 +537,8 @@ class TestDivergence:
         assert report.aggregate == {"accuracy": None, "detection": []}
         assert len(report.warnings) == 2
         for seed, warning in zip((1, 2), report.warnings):
-            assert warning.startswith(f"seed {seed}: training diverged: non-finite features")
-            assert "epoch 2 batch" in warning
+            assert warning.startswith(
+                f"seed {seed}: training diverged: non-finite feature norms at epoch 1 batch ")
         validate_report(report.to_dict())
 
     def test_run_experiment_skips_a_seed_that_diverges_on_its_last_step(self):

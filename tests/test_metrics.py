@@ -91,6 +91,20 @@ class TestOracleEquivalence:
             assert tnr_at_tpr95(s) == tnr_oracle(a, b)
             assert dtacc(s) == dtacc_oracle(a, b)
 
+    @pytest.mark.parametrize("style", ["continuous", "half_integer_grid"])
+    def test_exact_match_at_eval_scale(self, style):
+        # The wide workload's sizes: 2,000 validation scores against 5,000
+        # OOD scores.
+        rng = np.random.default_rng(2000)
+        if style == "continuous":
+            a, b = rng.standard_normal(2000), rng.standard_normal(5000) - 0.5
+        else:
+            a, b = rng.integers(-40, 41, 2000) / 2.0, rng.integers(-50, 31, 5000) / 2.0
+        s = DetectionScoreSet(a, b)
+        assert auroc(s) == auroc_oracle(a, b)
+        assert tnr_at_tpr95(s) == tnr_oracle(a, b)
+        assert dtacc(s) == dtacc_oracle(a, b)
+
 
 class TestMonotoneInvariance:
     # Strictly increasing maps that stay exact on dyadic grids, so tie

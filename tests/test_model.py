@@ -245,6 +245,22 @@ class TestSgdStep:
             np.testing.assert_array_equal(w0, w1)
         assert not state.velocities
 
+    def test_overflowing_feature_norms_raise_diverged_with_location(self):
+        # Finite features whose squared row norms overflow: isomaxplus
+        # would normalize every row to the zero vector.
+        state, _ = blob_state_and_data("isomaxplus")
+        state.backbone.weights[0][...] *= 1e160
+        state.backbone.biases[0][...] *= 1e160
+        before = copy.deepcopy(state)
+        batch = self.make_batch(np.random.default_rng(5))
+        assert np.isfinite(backbone_forward(state.backbone, batch[0])).all()
+        with pytest.raises(TrainingDiverged) as info:
+            sgd_step(state, *batch, SgdConfig(), epoch=3, batch_index=1)
+        assert str(info.value) == "non-finite feature norms at epoch 3 batch 1"
+        assert (info.value.epoch, info.value.batch_index) == (3, 1)
+        np.testing.assert_array_equal(state._layout.params, before._layout.params)
+        assert not state.velocities
+
     @pytest.mark.parametrize("kind, name", [("softmax", "weights"), ("isomax", "prototypes"),
                                             ("isomaxplus", "distance_scale")])
     def test_overflowing_logits_raise_diverged_with_location(self, kind, name):
@@ -332,6 +348,15 @@ class TestFit:
         with pytest.raises(TrainingDiverged) as info:
             fit(state, stream(state, ds), SgdConfig(learning_rate=1e308, epochs=1))
         assert str(info.value) == "non-finite features after the update of epoch 1 batch 0"
+        assert (info.value.epoch, info.value.batch_index) == (1, 0)
+
+    def test_last_step_that_overflows_the_feature_norms_raises_diverged(self):
+        # The update leaves finite features whose squared row norms overflow.
+        state, ds = blob_state_and_data("isomaxplus", n=30)
+        with pytest.raises(TrainingDiverged) as info:
+            fit(state, stream(state, ds), SgdConfig(learning_rate=1e100, epochs=1))
+        assert str(info.value) == (
+            "non-finite feature norms after the update of epoch 1 batch 0")
         assert (info.value.epoch, info.value.batch_index) == (1, 0)
 
     def test_invalid_decay_epochs(self):

@@ -10,7 +10,6 @@ from oodkit import numerics
 from oodkit.numerics import (
     ContractViolation,
     pairwise_euclidean,
-    row_normalize,
     shannon_entropy_rows,
     stable_softmax_rows,
 )
@@ -21,32 +20,25 @@ def entropy_oracle(row):
     return -sum(p * math.log(p) for p in row if p > 0.0)
 
 
-class TestRowNormalize:
+class TestNormalizeRows:
     def test_three_four_five(self):
-        np.testing.assert_allclose(row_normalize([[3.0, 4.0]]), [[0.6, 0.8]])
+        np.testing.assert_allclose(numerics._normalize_rows(np.array([[3.0, 4.0]])),
+                                   [[0.6, 0.8]])
 
     def test_zero_row_stays_zero(self):
-        out = row_normalize([[0.0, 0.0]])
+        out = numerics._normalize_rows(np.zeros((1, 2)))
         np.testing.assert_array_equal(out, [[0.0, 0.0]])
 
     def test_symmetric_row(self):
-        np.testing.assert_allclose(row_normalize([[1.0, 1.0, 1.0, 1.0]]),
+        np.testing.assert_allclose(numerics._normalize_rows(np.ones((1, 4))),
                                    [[0.5, 0.5, 0.5, 0.5]])
 
     def test_idempotent_above_eps(self):
         rng = np.random.default_rng(7)
         m = rng.standard_normal((20, 5)) * 10.0
-        once = row_normalize(m)
-        twice = row_normalize(once)
+        once = numerics._normalize_rows(m)
+        twice = numerics._normalize_rows(once)
         np.testing.assert_allclose(twice, once, atol=1e-12)
-
-    def test_eps_must_be_positive(self):
-        with pytest.raises(ContractViolation):
-            row_normalize([[1.0, 2.0]], eps=0.0)
-
-    def test_rejects_nan(self):
-        with pytest.raises(ContractViolation):
-            row_normalize([[np.nan, 1.0]])
 
 
 class TestPairwiseEuclidean:
