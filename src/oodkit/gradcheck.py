@@ -5,7 +5,9 @@ model.loss_and_gradients, the gradient that sgd_step applies, against
 central differences of the actual training loss, and reports the worst
 guarded relative error. Each instance is checked once, by the gradient
 call; the finite differences then evaluate the unchecked heads._mean_loss,
-the same arithmetic without the checks. Instances
+the same arithmetic without the checks. A head instance's perturbed
+feature rows are all scored in one heads._row_losses call, since a row's
+loss reads that row alone. Instances
 too close to a nondifferentiable or near-singular point (a rectifier
 kink, a feature/prototype collision, a near-zero norm entering a
 normalization) are redrawn, since finite differences at a fixed step
@@ -46,6 +48,30 @@ def finite_difference(loss, theta: np.ndarray) -> np.ndarray:
             theta[i] = keep
         grad[i] = (hi - lo) / (2.0 * DEFAULT_STEP)
     return grad
+
+
+def _feature_differences(head, features: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """finite_difference of heads._mean_loss with respect to features,
+    with every perturbed row scored in one heads._row_losses call.
+
+    A row's loss reads that row alone, so the 2 n d perturbed rows (each
+    row with one entry moved by +DEFAULT_STEP or -DEFAULT_STEP) are scored
+    as one stacked matrix. Each perturbed mean is then the mean of the
+    base row losses with that row's loss replaced, as the per-entry loop
+    forms it. features is not written.
+    """
+    n, d = features.shape
+    base = heads._row_losses(head, features, targets)
+    shifted = np.tile(features[:, np.newaxis, :], (2, 1, d, 1))  # (sign, row, entry, d)
+    entries = np.arange(d)
+    shifted[0, :, entries, entries] += DEFAULT_STEP
+    shifted[1, :, entries, entries] -= DEFAULT_STEP
+    losses = heads._row_losses(head, shifted.reshape(-1, d),
+                               np.repeat(np.tile(targets, 2), d)).reshape(2, n, d)
+    # batches[s, i, k] holds the n row losses with row i perturbed at entry k.
+    batches = np.where(np.eye(n, dtype=bool)[:, np.newaxis, :], losses[..., np.newaxis], base)
+    hi, lo = batches.mean(axis=-1)
+    return (hi - lo) / (2.0 * DEFAULT_STEP)
 
 
 def relative_error(analytic, numeric) -> float:
@@ -112,14 +138,14 @@ def check_head_instance(kind: str, rng: np.random.Generator) -> float:
     """Worst relative error across every gradient of one random instance."""
     head, features, targets = _draw_instance(kind, rng)
     d_features, params = heads.backward(head, features, targets)
-    checks = [(d_features, features)]
-    checks += [(params[name], getattr(head, name)) for name in head.parameters]
 
     def loss():
         return heads._mean_loss(head, features, targets)
 
-    return max(relative_error(analytic, finite_difference(loss, theta))
-               for analytic, theta in checks)
+    errors = [relative_error(d_features, _feature_differences(head, features, targets))]
+    errors += [relative_error(params[name], finite_difference(loss, getattr(head, name)))
+               for name in head.parameters]
+    return max(errors)
 
 
 def check_backbone_instance(rng: np.random.Generator) -> float:

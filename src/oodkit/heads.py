@@ -232,16 +232,22 @@ def _check_features(head: ClassifierHead, features) -> np.ndarray:
         raise ContractViolation(
             f"feature dimension {features.shape[1]} does not match head dimension {head.dim}"
         )
-    if _norms_overflow(head, features):
-        raise ContractViolation("features have a row whose squared norm overflows float64")
+    overflowing = _overflowing_norms(head, features)
+    if overflowing is not None:
+        raise ContractViolation(
+            f"{overflowing}s have a row whose squared norm overflows float64")
     return features
 
 
-def _norms_overflow(head: ClassifierHead, features: np.ndarray) -> bool:
-    """Whether the isomaxplus head would divide a row of finite features by
-    an infinite norm, which maps the row to the zero vector."""
-    return (isinstance(head, IsoMaxPlusHead)
-            and not np.isfinite(np.einsum("ij,ij->i", features, features)).all())
+def _overflowing_norms(head: ClassifierHead, features: np.ndarray) -> str | None:
+    """What the isomaxplus head would divide by an infinite norm, mapping a
+    finite row to the zero vector: "feature", "prototype", or None."""
+    if not isinstance(head, IsoMaxPlusHead):
+        return None
+    for name, rows in (("feature", features), ("prototype", head.prototypes)):
+        if not np.isfinite(np.einsum("ij,ij->i", rows, rows)).all():
+            return name
+    return None
 
 
 def _check_targets(head: ClassifierHead, targets, n: int) -> np.ndarray:
@@ -277,9 +283,15 @@ def training_loss(head: ClassifierHead, features, targets) -> float:
 
 def _mean_loss(head: ClassifierHead, features: np.ndarray, targets: np.ndarray) -> float:
     """training_loss of checked features and targets."""
+    return float(_row_losses(head, features, targets).mean())
+
+
+def _row_losses(head: ClassifierHead, features: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Each row's -log(max(p_target, PROBABILITY_FLOOR)), of checked features
+    and targets. Under every head a row's loss reads that row alone."""
     probs = _softmax_rows(head.forward(features)[0], head.training_scale)
     at_target = probs[np.arange(len(targets)), targets]
-    return float(-np.log(np.maximum(at_target, PROBABILITY_FLOOR)).mean())
+    return -np.log(np.maximum(at_target, PROBABILITY_FLOOR))
 
 
 def inference_probabilities(head: ClassifierHead, features) -> np.ndarray:
@@ -313,8 +325,8 @@ class HeadOutputs:
 def head_outputs(head: ClassifierHead, features) -> HeadOutputs:
     """The checked read of a head: distances, logits, inference
     probabilities and entropy, each computed once. It rejects features that
-    are not a finite matrix of the head's width, and, for isomaxplus, rows
-    whose squared norm overflows."""
+    are not a finite matrix of the head's width, and, for isomaxplus,
+    feature or prototype rows whose squared norm overflows."""
     logits, distances = head.forward(_check_features(head, features))
     probabilities = stable_softmax_rows(logits, 1.0)
     return HeadOutputs(distances=distances, logits=logits, probabilities=probabilities,

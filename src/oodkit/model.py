@@ -308,8 +308,9 @@ def sgd_step(state: TrainState, inputs, targets, cfg: SgdConfig,
     buffer, and one nesterov_update moves the whole parameter buffer.
 
     Raises TrainingDiverged, naming the epoch and the batch, when the
-    forward features, their squared row norms under the isomaxplus head,
-    or the loss stop being finite; the state is then left as it was.
+    forward features, the squared row norms of the features or the
+    prototypes under the isomaxplus head, or the loss stop being finite;
+    the state is then left as it was.
     """
     lr = cfg.learning_rate if lr is None else lr
     if np.size(targets) == 0:
@@ -403,10 +404,10 @@ def _check_last_step(state: TrainState, inputs, targets, epoch: int, batch_index
 
 def _unreadable(state: TrainState, features: np.ndarray) -> str | None:
     """What makes a batch's features unreadable by the state's head:
-    "features" when an entry is not finite, "feature norms" when a squared
-    row norm overflows under the isomaxplus head, or None."""
+    "features" when an entry is not finite, "feature norms" or "prototype
+    norms" when a squared row norm overflows under the isomaxplus head, or
+    None."""
     if not np.isfinite(features).all():
         return "features"
-    if heads._norms_overflow(state.head, features):
-        return "feature norms"
-    return None
+    overflowing = heads._overflowing_norms(state.head, features)
+    return None if overflowing is None else f"{overflowing} norms"

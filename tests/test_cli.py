@@ -570,23 +570,26 @@ class TestDivergence:
             "error: non-finite features after the update of epoch 1 batch 0\n")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("scale, message", [
+    @pytest.mark.parametrize("scaled, message", [
         (None, "features contains non-finite entries"),
-        # Finite features whose squared row norms overflow: isomaxplus
-        # would score zero vectors.
-        (1e160, "features have a row whose squared norm overflows float64"),
-    ], ids=["features_overflow", "feature_norms_overflow"])
+        # Finite features or prototypes whose squared row norms overflow:
+        # isomaxplus would score zero vectors.
+        ("backbone", "features have a row whose squared norm overflows float64"),
+        ("prototypes", "prototypes have a row whose squared norm overflows float64"),
+    ], ids=["features_overflow", "feature_norms_overflow", "prototype_norms_overflow"])
     @pytest.mark.parametrize("command", ["eval", "hist"])
     def test_overflowing_checkpoint_exits_1_with_one_line(self, config_path, tmp_path,
-                                                          capsys, command, scale, message):
+                                                          capsys, command, scaled, message):
         path = config_path()
         cfg = experiment.ExperimentConfig.from_dict(json.loads(path.read_text()))
         state = make_train_state(cfg.backbone_widths, cfg.head, 3, 1)
-        if scale is None:
+        if scaled is None:
             state.backbone.weights[0][...] = 1e308
+        elif scaled == "backbone":
+            state.backbone.weights[0][...] *= 1e160
+            state.backbone.biases[0][...] *= 1e160
         else:
-            state.backbone.weights[0][...] *= scale
-            state.backbone.biases[0][...] *= scale
+            state.head.prototypes[...] *= 1e160
         state.config_hash = cfg.config_hash()
         experiment.save_checkpoint(state, tmp_path / "ckpt.bin")
         assert cli_main([command, "--config", str(path),

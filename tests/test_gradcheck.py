@@ -64,6 +64,16 @@ def flip_distance_scale_sign(monkeypatch):
     monkeypatch.setattr(heads, "backward", flipped)
 
 
+def roll_feature_gradient_rows(monkeypatch):
+    backward = heads.backward
+
+    def rolled(head, features, targets):
+        d_features, params = backward(head, features, targets)
+        return np.roll(d_features, 1, axis=0), params
+
+    monkeypatch.setattr(heads, "backward", rolled)
+
+
 def double_the_step_gradient(monkeypatch):
     loss_and_gradients = model.loss_and_gradients
 
@@ -77,6 +87,7 @@ def double_the_step_gradient(monkeypatch):
 BUGS = {
     "step_gradient_doubled": double_the_step_gradient,
     "distance_scale_sign_flipped": flip_distance_scale_sign,
+    "feature_gradient_rows_rolled": roll_feature_gradient_rows,
     "mean_without_1_over_n": lambda mp: mp.setattr(
         heads, "_loss_grad_wrt_logits",
         lambda head, logits, targets: loss_grad_wrt_logits(head, logits, targets, mean=False)),
@@ -135,6 +146,53 @@ def test_gradcheck_catches_a_seeded_bug(bug, monkeypatch, capsys):
     assert max(gradcheck.run_suite(instances=INSTANCES).values()) > GRADCHECK_TOLERANCE
     assert cli_main(["gradcheck", "--instances", str(INSTANCES)]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_rolled_feature_gradient_rows_fail_every_head_kind(monkeypatch):
+    # Right gradients in the wrong rows: only a check that compares each
+    # entry's difference with its own row catches them.
+    roll_feature_gradient_rows(monkeypatch)
+    results = gradcheck.run_suite(instances=INSTANCES)
+    for kind in heads.HEAD_KINDS:
+        assert results[kind] > GRADCHECK_TOLERANCE, kind
+
+
+@pytest.mark.parametrize("kind", heads.HEAD_KINDS)
+def test_stacked_feature_differences_match_the_per_entry_loop(kind):
+    rng = np.random.default_rng([7, gradcheck._STREAM_IDS[kind]])
+    for _ in range(1000):
+        head, features, targets = gradcheck._draw_instance(kind, rng)
+        before = features.tobytes()
+        stacked = gradcheck._feature_differences(head, features, targets)
+        assert features.tobytes() == before
+        looped = gradcheck.finite_difference(
+            lambda: heads._mean_loss(head, features, targets), features)
+        if kind == "softmax":
+            # The stacked product features @ weights.T can round a row in
+            # its last bits differently from the product over the n rows.
+            np.testing.assert_allclose(stacked, looped, rtol=1e-7)
+        else:
+            np.testing.assert_array_equal(stacked, looped)
+
+
+def test_a_head_instance_needs_two_loss_calls_for_its_features(monkeypatch):
+    # A head-loss evaluation per parameter entry and sign, and two for all
+    # the features however many they are: the base rows and the stacked
+    # perturbed rows.
+    calls, drawn = [], []
+    row_losses, draw_instance = heads._row_losses, gradcheck._draw_instance
+    monkeypatch.setattr(heads, "_row_losses",
+                        lambda *args: calls.append(args) or row_losses(*args))
+    monkeypatch.setattr(gradcheck, "_draw_instance",
+                        lambda *args: drawn.append(draw_instance(*args)) or drawn[-1])
+    rng = np.random.default_rng(0)
+    for kind in heads.HEAD_KINDS:
+        for _ in range(20):
+            calls.clear()
+            gradcheck.check_head_instance(kind, rng)
+            head = drawn[-1][0]
+            entries = sum(getattr(head, name).size for name in head.parameters)
+            assert len(calls) == 2 * entries + 2
 
 
 def test_suite_matches_the_suite_with_checked_finite_differences():

@@ -261,6 +261,20 @@ class TestSgdStep:
         np.testing.assert_array_equal(state._layout.params, before._layout.params)
         assert not state.velocities
 
+    def test_overflowing_prototype_norms_raise_diverged_with_location(self):
+        # Finite prototypes whose squared row norms overflow: isomaxplus
+        # would normalize every prototype to the zero vector.
+        state, _ = blob_state_and_data("isomaxplus")
+        state.head.prototypes[...] *= 1e160
+        before = copy.deepcopy(state)
+        batch = self.make_batch(np.random.default_rng(5))
+        with pytest.raises(TrainingDiverged) as info:
+            sgd_step(state, *batch, SgdConfig(), epoch=3, batch_index=1)
+        assert str(info.value) == "non-finite prototype norms at epoch 3 batch 1"
+        assert (info.value.epoch, info.value.batch_index) == (3, 1)
+        np.testing.assert_array_equal(state._layout.params, before._layout.params)
+        assert not state.velocities
+
     @pytest.mark.parametrize("kind, name", [("softmax", "weights"), ("isomax", "prototypes"),
                                             ("isomaxplus", "distance_scale")])
     def test_overflowing_logits_raise_diverged_with_location(self, kind, name):
