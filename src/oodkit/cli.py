@@ -83,9 +83,8 @@ def _cmd_train(args) -> int:
                                                    data.val.targets)
     summary = {"seed": seed, "val_accuracy": accuracy,
                "checkpoint": str(ckpt_path), "epochs": cfg.sgd.epochs}
-    with open(out / f"train_summary_seed{seed}.json", "w", encoding="utf-8") as f:
-        json.dump(summary, f, sort_keys=True, indent=2)
-        f.write("\n")
+    (out / f"train_summary_seed{seed}.json").write_text(experiment.json_text(summary),
+                                                        encoding="utf-8")
     print(f"trained seed {seed}: val_accuracy={accuracy!r} checkpoint={ckpt_path}")
     return 0
 
@@ -96,11 +95,10 @@ def _cmd_eval(args) -> int:
     seed = state.seed
     record, dumps = experiment.evaluate_checkpoint(
         cfg, state, experiment.seed_data(cfg, seed)[1])
-    report = experiment.Report.from_records(cfg, [record], [], 0.0)
+    report = experiment.make_report(cfg, [record], [], 0.0)
     out = _out_dir(cfg)
     report_path = out / f"report_seed{seed}.json"
-    with open(report_path, "w", encoding="utf-8") as f:
-        f.write(report.to_json())
+    report_path.write_text(experiment.json_text(report), encoding="utf-8")
     for name, kind, in_scores, out_scores in dumps:
         experiment.write_scores_csv(
             out / f"scores_seed{seed}_{name}_{kind}.csv", in_scores, out_scores)
@@ -113,16 +111,15 @@ def _cmd_compare(args) -> int:
     comparison = experiment.compare_heads(cfgs)
     out = _out_dir(cfgs[0])
     path = out / "comparison.json"
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(comparison.to_json())
-    for row in comparison.accuracy:
+    path.write_text(experiment.json_text(comparison), encoding="utf-8")
+    for row in comparison["accuracy"]:
         print(f"accuracy {row['head']}: {row['mean']:.4f} +/- {row['std']:.4f}")
-    for block in comparison.detection:
+    for block in comparison["detection"]:
         cells = "  ".join(
             f"{c['head']}/{c['score']}={c['mean']:.4f}" for c in block["cells"])
         print(f"{block['ood']} {block['metric']}: {cells}")
-    if comparison.accuracy_drop_flags:
-        for flag in comparison.accuracy_drop_flags:
+    if comparison["accuracy_drop_flags"]:
+        for flag in comparison["accuracy_drop_flags"]:
             print(f"accuracy drop flag: {flag['head']} trails softmax "
                   f"by {flag['drop_pp']:.2f} pp")
     else:

@@ -127,6 +127,9 @@ class ExperimentConfig:
             self.score_kinds = [str(scores.ScoreKind(k).value) for k in self.score_kinds]
         except ValueError as exc:
             raise ContractViolation(f"score_kinds: {exc}") from None
+        for i, kind in enumerate(self.score_kinds):
+            if kind in self.score_kinds[:i]:
+                raise ContractViolation(f"score kind {kind!r} is listed twice")
         if "min_distance" in self.score_kinds and self.head not in DISTANCE_HEAD_KINDS:
             raise ContractViolation(
                 "the min_distance score requires a distance-based head (isomax or isomaxplus)")
@@ -207,38 +210,6 @@ class ExperimentConfig:
         d.pop("out_dir")
         canonical = json.dumps(d, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).digest()
-
-
-@dataclass
-class Report:
-    config: dict
-    per_seed: list
-    aggregate: dict
-    warnings: list
-    wall_time_seconds: float
-    schema_version: int = REPORT_SCHEMA_VERSION
-
-    @classmethod
-    def from_records(cls, cfg: ExperimentConfig, per_seed: list, warnings: list,
-                     wall_time_seconds: float) -> "Report":
-        """The report of per-seed evaluation records, aggregated across seeds."""
-        return cls(config=cfg.to_dict(), per_seed=per_seed,
-                   aggregate=_aggregate(cfg, per_seed), warnings=warnings,
-                   wall_time_seconds=wall_time_seconds)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "config": self.config,
-            "per_seed": self.per_seed,
-            "aggregate": self.aggregate,
-            "warnings": list(self.warnings),
-            "in_scores_from": "validation split (also used for accuracy)",
-            "wall_time_seconds": self.wall_time_seconds,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def _ood_name(spec: dict, index: int) -> str:
@@ -453,9 +424,31 @@ def _aggregate(cfg: ExperimentConfig, per_seed: list) -> dict:
     return aggregate
 
 
-def run_experiment(cfg: ExperimentConfig) -> Report:
+def make_report(cfg: ExperimentConfig, per_seed: list, warnings: list,
+                wall_time_seconds: float) -> dict:
+    """The report dict of per-seed evaluation records, aggregated across
+    seeds, as schemas/report.schema.json describes it."""
+    return {
+        "schema_version": REPORT_SCHEMA_VERSION,
+        "config": cfg.to_dict(),
+        "per_seed": per_seed,
+        "aggregate": _aggregate(cfg, per_seed),
+        "warnings": warnings,
+        "in_scores_from": "validation split (also used for accuracy)",
+        "wall_time_seconds": wall_time_seconds,
+    }
+
+
+def json_text(d: dict) -> str:
+    """The text of every JSON file oodkit writes: sorted keys, two-space
+    indents and a closing newline."""
+    return json.dumps(d, sort_keys=True, indent=2) + "\n"
+
+
+def run_experiment(cfg: ExperimentConfig) -> dict:
     """Train and evaluate over every seed; divergent seeds are recorded as
-    warnings and skipped rather than aborting the whole run."""
+    warnings and skipped rather than aborting the whole run. Returns the
+    report dict of make_report."""
     t0 = time.perf_counter()
     per_seed, warn = [], []
     for seed in cfg.seeds:
@@ -464,8 +457,8 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
             per_seed.append(evaluate_checkpoint(cfg, state, data)[0])
         except TrainingDiverged as exc:
             warn.append(f"seed {seed}: training diverged: {exc}")
-    report = Report.from_records(cfg, per_seed, warn, time.perf_counter() - t0)
-    validate_report(report.to_dict())
+    report = make_report(cfg, per_seed, warn, time.perf_counter() - t0)
+    validate_report(report)
     return report
 
 
@@ -475,31 +468,6 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
 ACCURACY_DROP_PP = 1.0
 
 
-@dataclass
-class ComparisonReport:
-    columns: list
-    accuracy: list
-    accuracy_drop_flags: list
-    detection: list
-    baseline_head: str | None
-    reports: list
-    schema_version: int = REPORT_SCHEMA_VERSION
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "columns": self.columns,
-            "accuracy": self.accuracy,
-            "accuracy_drop_flags": self.accuracy_drop_flags,
-            "detection": self.detection,
-            "baseline_head": self.baseline_head,
-            "reports": self.reports,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
-
 def _shared_config_view(cfg: ExperimentConfig) -> dict:
     d = cfg.to_dict()
     for key in ("head", "score_kinds", "entropic_scale", "out_dir"):
@@ -507,10 +475,12 @@ def _shared_config_view(cfg: ExperimentConfig) -> dict:
     return d
 
 
-def compare_heads(cfgs, reports=None) -> ComparisonReport:
+def compare_heads(cfgs, reports=None) -> dict:
     """Side-by-side comparison of configs that differ only in their head
-    (and score selections). Flags any head whose mean accuracy trails the
-    SoftMax baseline by more than one percentage point."""
+    (and score selections), as a dict that holds the compared reports.
+    Flags any head whose mean accuracy trails the SoftMax baseline by more
+    than one percentage point. Raises TrainingDiverged if every seed of a
+    config diverged."""
     cfgs = list(cfgs)
     if not cfgs:
         raise ContractViolation("compare_heads needs at least one config")
@@ -525,18 +495,21 @@ def compare_heads(cfgs, reports=None) -> ComparisonReport:
         reports = list(reports)
         if len(reports) != len(cfgs):
             raise ContractViolation("one report per config is required")
-        for cfg, rep in zip(cfgs, reports):
-            if rep.config != cfg.to_dict():
-                raise ContractViolation("supplied report does not match its config")
+    for i, (cfg, rep) in enumerate(zip(cfgs, reports)):
+        if rep["config"] != cfg.to_dict():
+            raise ContractViolation("supplied report does not match its config")
+        if rep["aggregate"]["accuracy"] is None:
+            raise TrainingDiverged(
+                f"config {i} ({cfg.head}) has no seed left to compare; {rep['warnings'][0]}")
 
     baseline_index = next((i for i, c in enumerate(cfgs) if c.head == "softmax"), None)
     baseline_head = None if baseline_index is None else "softmax"
-    baseline_acc = (reports[baseline_index].aggregate["accuracy"]["mean"]
+    baseline_acc = (reports[baseline_index]["aggregate"]["accuracy"]["mean"]
                     if baseline_index is not None else None)
 
     columns, accuracy, flags = [], [], []
     for i, (cfg, rep) in enumerate(zip(cfgs, reports)):
-        acc = rep.aggregate["accuracy"]
+        acc = rep["aggregate"]["accuracy"]
         columns.append({"index": i, "head": cfg.head, "score_kinds": cfg.score_kinds})
         entry = {"index": i, "head": cfg.head,
                  "mean": acc["mean"], "std": acc["std"]}
@@ -553,7 +526,7 @@ def compare_heads(cfgs, reports=None) -> ComparisonReport:
         for metric in ("auroc", "tnr_at_tpr95", "dtacc"):
             cells = []
             for i, (cfg, rep) in enumerate(zip(cfgs, reports)):
-                for row in rep.aggregate["detection"]:
+                for row in rep["aggregate"]["detection"]:
                     if row["ood"] == name:
                         cells.append({"index": i, "head": cfg.head,
                                       "score": row["score"],
@@ -561,14 +534,15 @@ def compare_heads(cfgs, reports=None) -> ComparisonReport:
                                       "std": row[metric]["std"]})
             detection.append({"ood": name, "metric": metric, "cells": cells})
 
-    return ComparisonReport(
-        columns=columns,
-        accuracy=accuracy,
-        accuracy_drop_flags=flags,
-        detection=detection,
-        baseline_head=baseline_head,
-        reports=[r.to_dict() for r in reports],
-    )
+    return {
+        "schema_version": REPORT_SCHEMA_VERSION,
+        "columns": columns,
+        "accuracy": accuracy,
+        "accuracy_drop_flags": flags,
+        "detection": detection,
+        "baseline_head": baseline_head,
+        "reports": reports,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -586,6 +560,7 @@ def histogram_report(cfg: ExperimentConfig, state: TrainState, data: SeedData,
     """
     if bins < 2:
         raise ContractViolation("bins must be at least 2")
+    data_mod.check_size("bins", bins, (bins + 1,))
     if not cfg.ood:
         raise ContractViolation("histograms need at least one OOD spec in the config")
     _check_seed(state, data)
@@ -783,12 +758,9 @@ def _backbone_from_arrays(arrays: dict) -> MlpBackbone:
 # ---------------------------------------------------------------------------
 # report schema validation
 
-def _schema_text() -> str:
-    return resources.files("oodkit").joinpath("schemas/report.schema.json").read_text()
-
-
 def report_schema() -> dict:
-    return json.loads(_schema_text())
+    return json.loads(
+        resources.files("oodkit").joinpath("schemas/report.schema.json").read_text())
 
 
 _TYPES = {

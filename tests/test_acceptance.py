@@ -77,7 +77,7 @@ def desk_runs():
 
 def seed_values(report, ood_name, score, metric="auroc"):
     values = []
-    for record in report.per_seed:
+    for record in report["per_seed"]:
         ood_eval = next(e for e in record["ood_evaluations"] if e["ood"] == ood_name)
         values.append(next(r for r in ood_eval["metrics"] if r["score"] == score)[metric])
     return values
@@ -193,11 +193,11 @@ def test_desk_scale_three_way_ordering(desk_runs):
 
 def test_criterion_5_no_accuracy_drop(desk_runs):
     cfgs, reports, _ = desk_runs
-    softmax_acc = reports["softmax"].aggregate["accuracy"]["mean"]
-    drops = {name: (softmax_acc - rep.aggregate["accuracy"]["mean"]) * 100.0
+    softmax_acc = reports["softmax"]["aggregate"]["accuracy"]["mean"]
+    drops = {name: (softmax_acc - rep["aggregate"]["accuracy"]["mean"]) * 100.0
              for name, rep in reports.items()}
     comparison = compare_heads(list(cfgs.values()), list(reports.values()))
-    ok = all(d <= 1.0 for d in drops.values()) and not comparison.accuracy_drop_flags
+    ok = all(d <= 1.0 for d in drops.values()) and not comparison["accuracy_drop_flags"]
     criterion(
         5,
         f"mean accuracy within 1 pp of softmax for every head "
@@ -213,7 +213,7 @@ def test_criterion_6_distance_and_entropy_separation(desk_runs):
     details = []
     for ood in ("ring", "box"):
         dist_seeds = 0
-        for record in reports["isomaxplus"].per_seed:
+        for record in reports["isomaxplus"]["per_seed"]:
             diag = next(e for e in record["ood_evaluations"]
                         if e["ood"] == ood)["diagnostics"]
             dist_seeds += diag["median_min_distance_in"] < diag["median_min_distance_out"]
@@ -221,7 +221,7 @@ def test_criterion_6_distance_and_entropy_separation(desk_runs):
         details.append(f"{ood}: median distance in<out in {dist_seeds}/5 seeds")
         for head in ("isomax", "isomaxplus"):
             ent_seeds = 0
-            for record in reports[head].per_seed:
+            for record in reports[head]["per_seed"]:
                 diag = next(e for e in record["ood_evaluations"]
                             if e["ood"] == ood)["diagnostics"]
                 ent_seeds += diag["mean_entropy_in"] < diag["mean_entropy_out"]
@@ -274,7 +274,7 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
         "sgd": {"epochs": 3, "batch_size": 16},
         "val_fraction": 0.25,
     })
-    reports = [run_experiment(cfg).to_dict() for _ in range(2)]
+    reports = [run_experiment(cfg) for _ in range(2)]
     for report in reports:
         report.pop("wall_time_seconds")
     reports_ok = json.dumps(reports[0], sort_keys=True) == json.dumps(reports[1], sort_keys=True)

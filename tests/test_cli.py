@@ -124,11 +124,14 @@ class TestMalformedConfig:
          "score_kinds: 'bogus' is not a valid ScoreKind"),
         ("train", lambda cfg: {k: v for k, v in cfg.items() if k != "head"},
          "config is missing required key 'head'"),
+        ("train", lambda cfg: {**cfg, "score_kinds": ["entropic", "entropic"]},
+         "score kind 'entropic' is listed twice"),
     ], ids=["missing_sigma", "classes_four", "list_config", "unknown_sgd_key",
             "null_seeds", "ring_without_inner_radius", "in_distribution_list",
             "epochs_string", "learning_rate_string", "ood_object", "ood_entry_int",
             "seeds_string", "null_backbone_widths", "null_entropic_scale",
-            "val_fraction_string", "unknown_score_kind", "missing_head"])
+            "val_fraction_string", "unknown_score_kind", "missing_head",
+            "repeated_score_kind"])
     def test_exits_1_with_one_line(self, config_path, tmp_path, capsys, command, edit,
                                    message):
         path = config_path()
@@ -520,6 +523,19 @@ class TestHist:
         assert len(entropy) == 9
         assert (tmp_path / "out" / "hist_min_distance_seed1.csv").exists()
 
+    def test_bins_too_large_for_an_array_exits_1_with_one_line(self, config_path, tmp_path,
+                                                               capsys):
+        cfg = config_path()
+        assert cli_main(["train", "--config", str(cfg)]) == 0
+        ckpt = tmp_path / "out" / "checkpoint_seed1.bin"
+        capsys.readouterr()
+        assert cli_main(["hist", "--config", str(cfg), "--checkpoint", str(ckpt),
+                         "--bins", str(2**62)]) == 1
+        assert capsys.readouterr().err == (
+            "error: bins asks for more than 9223372036854775807 bytes, "
+            "got 4611686018427387904\n")
+        assert not (tmp_path / "out" / "hist_entropy_seed1.csv").exists()
+
 
 class TestGradcheckCommand:
     def test_exits_zero_and_reports_error(self, capsys):
@@ -569,6 +585,26 @@ class TestDivergence:
         assert capsys.readouterr().err == (
             "error: non-finite features after the update of epoch 1 batch 0\n")
         assert not (tmp_path / "out").exists()
+
+    def test_compare_of_a_config_whose_every_seed_diverged_exits_1_with_one_line(
+            self, tmp_path, capsys):
+        cfg = json.loads((Path(__file__).resolve().parent.parent
+                          / "configs" / "blobs_isomaxplus.json").read_text())
+        cfg["sgd"].update(learning_rate=1e6, epochs=2, decay_epochs=[])
+        cfg.update(seeds=[1], out_dir=str(tmp_path / "out"))
+        argv = ["compare"]
+        for head, score_kinds in (("softmax", ["entropic"]), ("isomaxplus", cfg["score_kinds"])):
+            path = tmp_path / f"{head}.json"
+            path.write_text(json.dumps({**cfg, "head": head, "score_kinds": score_kinds}))
+            argv += ["--config", str(path)]
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(
+            "error: config 0 (softmax) has no seed left to compare; "
+            "seed 1: training diverged: non-finite ")
+        assert not (tmp_path / "out" / "comparison.json").exists()
 
     @pytest.mark.parametrize("scaled, message", [
         (None, "features contains non-finite entries"),

@@ -97,35 +97,35 @@ class TestConfigValidation:
 class TestRunExperiment:
     def test_deterministic_report_bytes(self):
         cfg = tiny_config()
-        a, b = (run_experiment(cfg).to_dict() for _ in range(2))
+        a, b = (run_experiment(cfg) for _ in range(2))
         a.pop("wall_time_seconds")
         b.pop("wall_time_seconds")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_report_validates_and_aggregates(self):
         report = run_experiment(tiny_config())
-        validate_report(report.to_dict())
-        assert len(report.per_seed) == 2
-        agg = report.aggregate
+        validate_report(report)
+        assert len(report["per_seed"]) == 2
+        agg = report["aggregate"]
         assert set(r["score"] for r in agg["detection"]) == {"min_distance", "entropic"}
         assert 0.0 <= agg["accuracy"]["mean"] <= 1.0
         assert agg["accuracy"]["std"] >= 0.0
 
     def test_single_seed_reports_zero_std(self):
         report = run_experiment(tiny_config(seeds=[3]))
-        assert report.aggregate["accuracy"]["std"] == 0.0
+        assert report["aggregate"]["accuracy"]["std"] == 0.0
 
     def test_aggregate_rows_follow_config_order(self):
         cfg = tiny_config(ood=[
             {"name": "near", "kind": "ring", "inner_radius": 3.0, "outer_radius": 5.0, "n": 40},
             {"kind": "uniform", "low": -12.0, "high": 12.0, "n": 40}])
         report = run_experiment(cfg)
-        rows = report.aggregate["detection"]
+        rows = report["aggregate"]["detection"]
         assert [(r["ood"], r["score"]) for r in rows] == [
             (name, kind) for name in ("near", "uniform_1") for kind in cfg.score_kinds]
         for i, row in enumerate(rows):
             per_seed = [record["ood_evaluations"][i // 2]["metrics"][i % 2]["auroc"]
-                        for record in report.per_seed]
+                        for record in report["per_seed"]]
             assert row["auroc"]["mean"] == np.mean(per_seed)
 
     def test_heldout_class_protocol(self):
@@ -136,8 +136,8 @@ class TestRunExperiment:
             ood=[{"name": "heldout", "kind": "heldout"}],
         )
         report = run_experiment(cfg)
-        assert report.per_seed[0]["ood_evaluations"][0]["ood"] == "heldout"
-        validate_report(report.to_dict())
+        assert report["per_seed"][0]["ood_evaluations"][0]["ood"] == "heldout"
+        validate_report(report)
 
 
 def heldout_config(head):
@@ -175,7 +175,7 @@ class TestEvaluateCheckpoint:
         cfg = heldout_config(head)
         state, _, data = train_single_seed(cfg, 1)
         record, dumps = evaluate_checkpoint(cfg, state, data)
-        assert record == run_experiment(cfg).per_seed[0]
+        assert record == run_experiment(cfg)["per_seed"][0]
         features = {"in": backbone_forward(state.backbone, data.val.inputs)}
         for name, ood in ood_sets(cfg, data):
             features[name] = backbone_forward(state.backbone, ood.inputs)
@@ -279,7 +279,7 @@ class TestSeedData:
 
 class TestValidateReport:
     def test_mutated_report_fails(self):
-        report = run_experiment(tiny_config(seeds=[1])).to_dict()
+        report = run_experiment(tiny_config(seeds=[1]))
         broken = copy.deepcopy(report)
         del broken["aggregate"]
         with pytest.raises(ReportSchemaError, match="aggregate"):
@@ -302,15 +302,15 @@ class TestCompareHeads:
     def test_identical_heads_zero_deltas_no_flags(self):
         cfgs = [tiny_config("softmax"), tiny_config("softmax")]
         comparison = compare_heads(cfgs)
-        assert comparison.accuracy_drop_flags == []
-        assert all(row["delta_pp_vs_baseline"] == 0.0 for row in comparison.accuracy)
+        assert comparison["accuracy_drop_flags"] == []
+        assert all(row["delta_pp_vs_baseline"] == 0.0 for row in comparison["accuracy"])
 
     def test_three_way_layout(self):
         comparison = compare_heads(self.configs())
-        assert [c["head"] for c in comparison.columns] == [
+        assert [c["head"] for c in comparison["columns"]] == [
             "softmax", "isomax", "isomaxplus"]
-        assert comparison.baseline_head == "softmax"
-        metrics_seen = {(b["ood"], b["metric"]) for b in comparison.detection}
+        assert comparison["baseline_head"] == "softmax"
+        metrics_seen = {(b["ood"], b["metric"]) for b in comparison["detection"]}
         assert ("ring", "auroc") in metrics_seen
         assert ("ring", "tnr_at_tpr95") in metrics_seen
         assert ("ring", "dtacc") in metrics_seen
@@ -320,10 +320,10 @@ class TestCompareHeads:
         reports = [run_experiment(c) for c in cfgs]
         # sabotage the isomax accuracy by five points
         broken = reports[1]
-        broken.aggregate["accuracy"]["mean"] -= 0.05
+        broken["aggregate"]["accuracy"]["mean"] -= 0.05
         comparison = compare_heads(cfgs, reports)
         assert any(f["head"] == "isomax" and f["drop_pp"] > 1.0
-                   for f in comparison.accuracy_drop_flags)
+                   for f in comparison["accuracy_drop_flags"])
 
     def test_mismatched_data_specs_rejected(self):
         cfgs = [tiny_config("softmax"), tiny_config("isomax", seeds=[5, 6])]
@@ -533,13 +533,13 @@ class TestCheckpoints:
 class TestDivergence:
     def test_run_experiment_skips_each_diverged_seed_with_a_warning(self):
         report = run_experiment(diverging_config())
-        assert report.per_seed == []
-        assert report.aggregate == {"accuracy": None, "detection": []}
-        assert len(report.warnings) == 2
-        for seed, warning in zip((1, 2), report.warnings):
+        assert report["per_seed"] == []
+        assert report["aggregate"] == {"accuracy": None, "detection": []}
+        assert len(report["warnings"]) == 2
+        for seed, warning in zip((1, 2), report["warnings"]):
             assert warning.startswith(
                 f"seed {seed}: training diverged: non-finite feature norms at epoch 1 batch ")
-        validate_report(report.to_dict())
+        validate_report(report)
 
     def test_run_experiment_skips_a_seed_that_diverges_on_its_last_step(self):
         # One step per epoch: the update of the only step leaves finite
@@ -549,7 +549,7 @@ class TestDivergence:
         cfg.sgd.learning_rate = 1e308
         cfg.sgd.epochs = 1
         report = run_experiment(cfg)
-        assert report.per_seed == []
-        assert report.warnings == [
+        assert report["per_seed"] == []
+        assert report["warnings"] == [
             f"seed {seed}: training diverged: non-finite features after the update of "
             f"epoch 1 batch 0" for seed in (1, 2)]
