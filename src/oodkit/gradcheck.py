@@ -4,10 +4,13 @@ The suite draws small random instances, compares heads.backward and
 model.loss_and_gradients, the gradient that sgd_step applies, against
 central differences of the actual training loss, and reports the worst
 guarded relative error. Each instance is checked once, by the gradient
-call; the finite differences then evaluate the unchecked heads._mean_loss,
-the same arithmetic without the checks. A head instance's perturbed
-feature rows are all scored in one heads._row_losses call, since a row's
-loss reads that row alone. Instances
+call; the finite differences then run the unchecked model code, the
+same arithmetic without the checks. They are stacked: a head instance's
+perturbed feature rows are all scored in one heads._row_losses call,
+since a row's loss reads that row alone; its class-indexed parameters
+are differenced in one head.forward on a head whose classes are the
+perturbed copies side by side; and a backbone instance's perturbed
+copies run through one stacked model.forward_trace. Instances
 too close to a nondifferentiable or near-singular point (a rectifier
 kink, a feature/prototype collision, a near-zero norm entering a
 normalization) are redrawn, since finite differences at a fixed step
@@ -15,6 +18,8 @@ are meaningless there.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 
@@ -50,6 +55,37 @@ def finite_difference(loss, theta: np.ndarray) -> np.ndarray:
     return grad
 
 
+def _perturbed_copies(arrays) -> list:
+    """The 2E perturbed copies that finite_difference visits, E being the
+    entry count of arrays, stacked along a new leading axis per array.
+
+    Copy k moves the k-th entry of the arrays, taken in order and each in
+    np.ndindex order, to keep + DEFAULT_STEP, and copy E + k to keep -
+    DEFAULT_STEP; every other entry keeps its bits. arrays are not
+    written.
+    """
+    total = sum(a.size for a in arrays)
+    stacks, offset = [], 0
+    for a in arrays:
+        stack = np.tile(a.reshape(1, -1), (2 * total, 1)).reshape(2, total, a.size)
+        entries = np.arange(a.size)
+        stack[0, offset + entries, entries] = a.ravel() + DEFAULT_STEP
+        stack[1, offset + entries, entries] = a.ravel() - DEFAULT_STEP
+        stacks.append(stack.reshape(2 * total, *a.shape))
+        offset += a.size
+    return stacks
+
+
+def _central_differences(losses: np.ndarray, arrays) -> list:
+    """finite_difference of the mean loss with respect to each of arrays,
+    from the (2E, n) row losses of their 2E perturbed copies, in the
+    order of _perturbed_copies."""
+    hi, lo = losses.reshape(2, -1, losses.shape[-1]).mean(axis=-1)
+    grad = (hi - lo) / (2.0 * DEFAULT_STEP)
+    splits = np.cumsum([a.size for a in arrays])[:-1]
+    return [g.reshape(a.shape) for g, a in zip(np.split(grad, splits), arrays)]
+
+
 def _feature_differences(head, features: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """finite_difference of heads._mean_loss with respect to features,
     with every perturbed row scored in one heads._row_losses call.
@@ -70,13 +106,16 @@ def _feature_differences(head, features: np.ndarray, targets: np.ndarray) -> np.
                                np.repeat(np.tile(targets, 2), d)).reshape(2, n, d)
     # batches[s, i, k] holds the n row losses with row i perturbed at entry k.
     batches = np.where(np.eye(n, dtype=bool)[:, np.newaxis, :], losses[..., np.newaxis], base)
-    hi, lo = batches.mean(axis=-1)
-    return (hi - lo) / (2.0 * DEFAULT_STEP)
+    return _central_differences(batches.reshape(-1, n), [features])[0]
 
 
 def relative_error(analytic, numeric) -> float:
     analytic = np.asarray(analytic, dtype=np.float64)
     numeric = np.asarray(numeric, dtype=np.float64)
+    if analytic.shape != numeric.shape:
+        raise ContractViolation(
+            f"analytic gradient {analytic.shape} does not match numeric gradient "
+            f"{numeric.shape}")
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), ERROR_FLOOR)
     if analytic.size == 0:
         return 0.0
@@ -134,6 +173,30 @@ def _draw_instance(kind: str, rng: np.random.Generator):
     raise RuntimeError("could not draw a differentiable instance")
 
 
+# Parameters with one row per class. A head of the same kind whose class
+# rows are P perturbed copies side by side scores all P in one forward.
+_CLASS_INDEXED = ("weights", "bias", "prototypes")
+
+
+def _class_row_differences(head, features: np.ndarray, targets: np.ndarray) -> dict:
+    """finite_difference of heads._mean_loss with respect to each
+    class-indexed parameter of head, from one head.forward.
+
+    The forward runs on a head of P * c classes holding the P perturbed
+    copies of those parameters, so each feature row's logits against copy
+    p are columns p * c to (p + 1) * c. head is not written.
+    """
+    names = [name for name in head.parameters if name in _CLASS_INDEXED]
+    arrays = [getattr(head, name) for name in names]
+    stacks = _perturbed_copies(arrays)
+    wide = dataclasses.replace(
+        head, **{name: s.reshape(-1, *s.shape[2:]) for name, s in zip(names, stacks)})
+    copies, c = len(stacks[0]), head.classes
+    logits = wide.forward(features)[0].reshape(len(features), copies, c).transpose(1, 0, 2)
+    losses = heads._logit_losses(head, logits.reshape(-1, c), np.tile(targets, copies))
+    return dict(zip(names, _central_differences(losses.reshape(copies, -1), arrays)))
+
+
 def check_head_instance(kind: str, rng: np.random.Generator) -> float:
     """Worst relative error across every gradient of one random instance."""
     head, features, targets = _draw_instance(kind, rng)
@@ -142,15 +205,17 @@ def check_head_instance(kind: str, rng: np.random.Generator) -> float:
     def loss():
         return heads._mean_loss(head, features, targets)
 
+    numeric = _class_row_differences(head, features, targets)
+    numeric.update((name, finite_difference(loss, getattr(head, name)))
+                   for name in head.parameters if name not in numeric)
     errors = [relative_error(d_features, _feature_differences(head, features, targets))]
-    errors += [relative_error(params[name], finite_difference(loss, getattr(head, name)))
-               for name in head.parameters]
+    errors += [relative_error(params[name], numeric[name]) for name in head.parameters]
     return max(errors)
 
 
-def check_backbone_instance(rng: np.random.Generator) -> float:
-    """Worst relative error of the backbone parameter gradients, chained
-    through a randomly chosen head."""
+def _draw_backbone_instance(rng: np.random.Generator):
+    """A random (state, inputs, targets) triple, a backbone chained into a
+    randomly chosen head, away from kinks."""
     for _ in range(100):
         n = int(rng.integers(1, 9))
         widths = [int(rng.integers(1, 6)) for _ in range(int(rng.integers(2, 4)))]
@@ -164,18 +229,36 @@ def check_backbone_instance(rng: np.random.Generator) -> float:
         if any(np.abs(z).min() < 1e-4 for z in preacts[:-1] if z.size):
             continue
         if _well_posed(head, features, targets):
-            break
-    else:
-        raise RuntimeError("could not draw a differentiable backbone instance")
+            return model.TrainState(backbone=backbone, head=head, velocities={}), inputs, targets
+    raise RuntimeError("could not draw a differentiable backbone instance")
 
-    state = model.TrainState(backbone=backbone, head=head, velocities={})
+
+def _backbone_differences(state, inputs: np.ndarray, targets: np.ndarray) -> dict:
+    """finite_difference of heads._mean_loss of the backbone features with
+    respect to every backbone array of state, keyed like named_parameters.
+
+    All perturbed copies of the backbone run through one stacked
+    model.forward_trace, and all of their feature rows through one
+    heads._row_losses call. state is not written.
+    """
+    names, arrays = zip(*((name, p) for name, p in model.named_parameters(state)
+                          if name.startswith("backbone.")))
+    # named_parameters alternates backbone.w{i} and backbone.b{i}.
+    stacks = _perturbed_copies(arrays)
+    copies = model.forward_trace(model.MlpBackbone(
+        weights=stacks[0::2], biases=[b[:, np.newaxis] for b in stacks[1::2]]), inputs)[0]
+    losses = heads._row_losses(state.head, copies.reshape(-1, copies.shape[-1]),
+                               np.tile(targets, len(copies)))
+    return dict(zip(names, _central_differences(losses.reshape(len(copies), -1), arrays)))
+
+
+def check_backbone_instance(rng: np.random.Generator) -> float:
+    """Worst relative error of the backbone parameter gradients, chained
+    through a randomly chosen head."""
+    state, inputs, targets = _draw_backbone_instance(rng)
     _, grads, _ = model.loss_and_gradients(state, inputs, targets)
-
-    def loss():
-        return heads._mean_loss(head, model.backbone_forward(backbone, inputs), targets)
-
-    return max(relative_error(grads[name], finite_difference(loss, p))
-               for name, p in model.named_parameters(state) if name.startswith("backbone."))
+    return max(relative_error(grads[name], numeric)
+               for name, numeric in _backbone_differences(state, inputs, targets).items())
 
 
 _STREAM_IDS = {"softmax": 11, "isomax": 12, "isomaxplus": 13, "backbone": 14}

@@ -289,7 +289,13 @@ def _mean_loss(head: ClassifierHead, features: np.ndarray, targets: np.ndarray) 
 def _row_losses(head: ClassifierHead, features: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Each row's -log(max(p_target, PROBABILITY_FLOOR)), of checked features
     and targets. Under every head a row's loss reads that row alone."""
-    probs = _softmax_rows(head.forward(features)[0], head.training_scale)
+    return _logit_losses(head, head.forward(features)[0], targets)
+
+
+def _logit_losses(head: ClassifierHead, logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """_row_losses from each row's logits: softmax at the head's
+    training_scale, then the floor, then the logarithm."""
+    probs = _softmax_rows(logits, head.training_scale)
     at_target = probs[np.arange(len(targets)), targets]
     return -np.log(np.maximum(at_target, PROBABILITY_FLOOR))
 

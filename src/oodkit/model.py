@@ -201,18 +201,23 @@ def backbone_forward(b: MlpBackbone, inputs) -> np.ndarray:
 def forward_trace(b: MlpBackbone, inputs):
     """Forward pass keeping what backbone_backward needs: returns
     (features, layer_inputs, preacts), each layer's input and
-    pre-activation in layer order."""
+    pre-activation in layer order.
+
+    P backbones of the same widths run as one when each weight carries a
+    leading stack axis, (P, out, in), and each bias is shaped (P, 1, out)
+    to broadcast over the rows; the features are then (P, n, width), and
+    each slice holds the same bits as the forward of that backbone alone."""
     h = as_matrix(inputs, "inputs")
-    if b.weights and h.shape[1] != b.weights[0].shape[1]:
+    if b.weights and h.shape[1] != b.weights[0].shape[-1]:
         raise ContractViolation(
             f"input width {h.shape[1]} does not match layer 0 width "
-            f"{b.weights[0].shape[1]}"
+            f"{b.weights[0].shape[-1]}"
         )
     layer_inputs, preacts = [], []
     last = len(b.weights) - 1
     for i, (w, bias) in enumerate(zip(b.weights, b.biases)):
         layer_inputs.append(h)
-        z = h @ w.T + bias
+        z = h @ w.swapaxes(-1, -2) + bias
         preacts.append(z)
         h = z if i == last else np.maximum(z, 0.0)
     return h, layer_inputs, preacts

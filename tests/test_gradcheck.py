@@ -5,13 +5,15 @@ copy of the gradient code, then asserts that both the suite and
 `oodkit gradcheck` report it.
 """
 
+import re
+
 import numpy as np
 import pytest
 from oracles import run_suite_oracle
 
 from oodkit import experiment, gradcheck, heads, model
 from oodkit.cli import GRADCHECK_TOLERANCE, cli_main
-from oodkit.numerics import NORM_EPS, stable_softmax_rows
+from oodkit.numerics import NORM_EPS, ContractViolation, stable_softmax_rows
 
 INSTANCES = 5
 
@@ -74,6 +76,17 @@ def roll_feature_gradient_rows(monkeypatch):
     monkeypatch.setattr(heads, "backward", rolled)
 
 
+def roll_class_gradient_rows(monkeypatch):
+    backward = heads.backward
+
+    def rolled(head, features, targets):
+        d_features, params = backward(head, features, targets)
+        return d_features, {name: np.roll(g, 1, axis=0) if name in gradcheck._CLASS_INDEXED else g
+                            for name, g in params.items()}
+
+    monkeypatch.setattr(heads, "backward", rolled)
+
+
 def double_the_step_gradient(monkeypatch):
     loss_and_gradients = model.loss_and_gradients
 
@@ -88,6 +101,7 @@ BUGS = {
     "step_gradient_doubled": double_the_step_gradient,
     "distance_scale_sign_flipped": flip_distance_scale_sign,
     "feature_gradient_rows_rolled": roll_feature_gradient_rows,
+    "class_gradient_rows_rolled": roll_class_gradient_rows,
     "mean_without_1_over_n": lambda mp: mp.setattr(
         heads, "_loss_grad_wrt_logits",
         lambda head, logits, targets: loss_grad_wrt_logits(head, logits, targets, mean=False)),
@@ -157,6 +171,14 @@ def test_rolled_feature_gradient_rows_fail_every_head_kind(monkeypatch):
         assert results[kind] > GRADCHECK_TOLERANCE, kind
 
 
+def test_rolled_class_gradient_rows_fail_every_head_kind(monkeypatch):
+    # Each stacked copy's difference must land on its own class row.
+    roll_class_gradient_rows(monkeypatch)
+    results = gradcheck.run_suite(instances=INSTANCES)
+    for kind in heads.HEAD_KINDS:
+        assert results[kind] > GRADCHECK_TOLERANCE, kind
+
+
 @pytest.mark.parametrize("kind", heads.HEAD_KINDS)
 def test_stacked_feature_differences_match_the_per_entry_loop(kind):
     rng = np.random.default_rng([7, gradcheck._STREAM_IDS[kind]])
@@ -175,24 +197,120 @@ def test_stacked_feature_differences_match_the_per_entry_loop(kind):
             np.testing.assert_array_equal(stacked, looped)
 
 
-def test_a_head_instance_needs_two_loss_calls_for_its_features(monkeypatch):
-    # A head-loss evaluation per parameter entry and sign, and two for all
-    # the features however many they are: the base rows and the stacked
-    # perturbed rows.
-    calls, drawn = [], []
-    row_losses, draw_instance = heads._row_losses, gradcheck._draw_instance
-    monkeypatch.setattr(heads, "_row_losses",
-                        lambda *args: calls.append(args) or row_losses(*args))
-    monkeypatch.setattr(gradcheck, "_draw_instance",
-                        lambda *args: drawn.append(draw_instance(*args)) or drawn[-1])
+@pytest.mark.parametrize("kind", heads.HEAD_KINDS)
+def test_stacked_class_row_differences_match_the_per_entry_loop(kind):
+    rng = np.random.default_rng([8, gradcheck._STREAM_IDS[kind]])
+    for _ in range(1000):
+        head, features, targets = gradcheck._draw_instance(kind, rng)
+        before = {name: getattr(head, name).tobytes() for name in head.parameters}
+        stacked = gradcheck._class_row_differences(head, features, targets)
+        assert {name: getattr(head, name).tobytes() for name in head.parameters} == before
+        assert sorted(stacked) == sorted(set(head.parameters) - {"distance_scale"})
+        for name, numeric in stacked.items():
+            looped = gradcheck.finite_difference(
+                lambda: heads._mean_loss(head, features, targets), getattr(head, name))
+            np.testing.assert_array_equal(numeric, looped)
+
+
+def test_stacked_backbone_differences_match_the_per_entry_loop():
+    rng = np.random.default_rng([8, gradcheck._STREAM_IDS["backbone"]])
+    for _ in range(1000):
+        state, inputs, targets = gradcheck._draw_backbone_instance(rng)
+        entries = [(name, p) for name, p in model.named_parameters(state)
+                   if name.startswith("backbone.")]
+        before = [p.tobytes() for _, p in entries]
+        stacked = gradcheck._backbone_differences(state, inputs, targets)
+        assert [p.tobytes() for _, p in entries] == before
+        assert list(stacked) == [name for name, _ in entries]
+        def loss():
+            return heads._mean_loss(
+                state.head, model.backbone_forward(state.backbone, inputs), targets)
+
+        # The head scores the feature rows of every copy in one call, and
+        # under softmax that product can round a row in its last bits
+        # differently from the product over the n rows. A few ulps of a mean
+        # loss, over 2 * DEFAULT_STEP, bound the difference on entries near 0.
+        ulps = 8 * np.finfo(np.float64).eps * max(loss(), 1.0) / (2 * gradcheck.DEFAULT_STEP)
+        for name, p in entries:
+            looped = gradcheck.finite_difference(loss, p)
+            if state.head.kind == "softmax":
+                np.testing.assert_allclose(stacked[name], looped, rtol=1e-7, atol=ulps)
+            else:
+                np.testing.assert_array_equal(stacked[name], looped)
+
+
+def count_head_forwards(monkeypatch) -> list:
+    """Record the feature rows of every head.forward call, of every head kind."""
+    calls = []
+    for cls in heads.HEAD_CLASSES.values():
+        def counted(self, features, forward=cls.forward):
+            calls.append(len(features))
+            return forward(self, features)
+        monkeypatch.setattr(cls, "forward", counted)
+    return calls
+
+
+def test_a_head_instance_needs_the_same_head_forwards_for_any_parameter_count(monkeypatch):
+    # Beyond the checked backward call: two forwards for the features (the
+    # base rows and the stacked perturbed rows), one for every class-indexed
+    # parameter entry at once, and two for the distance scale, however
+    # many entries the head has.
+    forwards, drawn = count_head_forwards(monkeypatch), []
+    draw_instance = gradcheck._draw_instance
+
+    def draw(*args):
+        drawn.append(draw_instance(*args))
+        forwards.clear()
+        return drawn[-1]
+
+    monkeypatch.setattr(gradcheck, "_draw_instance", draw)
     rng = np.random.default_rng(0)
     for kind in heads.HEAD_KINDS:
+        sizes = set()
         for _ in range(20):
-            calls.clear()
             gradcheck.check_head_instance(kind, rng)
-            head = drawn[-1][0]
-            entries = sum(getattr(head, name).size for name in head.parameters)
-            assert len(calls) == 2 * entries + 2
+            checked = len(forwards)
+            head, features, targets = drawn[-1]
+            forwards.clear()
+            heads.backward(head, features, targets)
+            assert checked - len(forwards) == 3 + 2 * ("distance_scale" in head.parameters)
+            sizes.add(sum(getattr(head, name).size for name in head.parameters))
+        assert len(sizes) > 1
+
+
+def test_a_backbone_instance_needs_one_stacked_forward_for_all_its_entries(monkeypatch):
+    # After the checked gradient call, one forward_trace of 2 x entries
+    # stacked backbones and nothing else.
+    stacks, expected = [], []
+    forward_trace, loss_and_gradients = model.forward_trace, model.loss_and_gradients
+
+    def traced(b, inputs):
+        stacks.append([w.shape[:-2] for w in b.weights])
+        return forward_trace(b, inputs)
+
+    def checked(state, inputs, targets):
+        result = loss_and_gradients(state, inputs, targets)
+        entries = sum(p.size for name, p in model.named_parameters(state)
+                      if name.startswith("backbone."))
+        expected.append([(2 * entries,)] * len(state.backbone.weights))
+        stacks.clear()
+        return result
+
+    monkeypatch.setattr(model, "forward_trace", traced)
+    monkeypatch.setattr(model, "loss_and_gradients", checked)
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        gradcheck.check_backbone_instance(rng)
+        assert stacks == [expected[-1]]
+    assert len({str(e) for e in expected}) > 1
+
+
+@pytest.mark.parametrize("shapes", [((3, 1), (3, 4)), ((3,), (1, 3)), ((2, 2), (4,))])
+def test_relative_error_rejects_gradients_of_different_shapes(shapes):
+    analytic, numeric = (np.ones(shape) for shape in shapes)
+    with pytest.raises(ContractViolation,
+                       match=f"{re.escape(str(shapes[0]))} .* {re.escape(str(shapes[1]))}"):
+        gradcheck.relative_error(analytic, numeric)
 
 
 def test_suite_matches_the_suite_with_checked_finite_differences():

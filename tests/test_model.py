@@ -53,6 +53,26 @@ class TestBackboneForward:
         with pytest.raises(ContractViolation):
             backbone_forward(b, [[1.0, 2.0]])
 
+    def test_each_slice_of_a_stacked_forward_is_the_forward_of_its_backbone(self):
+        rng = np.random.default_rng(11)
+        for trial in range(300):
+            high = 70 if trial % 3 == 0 else 6
+            widths = [int(w) for w in rng.integers(1, high, size=int(rng.integers(2, 5)))]
+            backbones = [make_backbone(widths, rng) for _ in range(int(rng.integers(1, 40)))]
+            stacked = MlpBackbone(
+                weights=[np.stack(layer) for layer in zip(*(b.weights for b in backbones))],
+                biases=[np.stack(layer)[:, np.newaxis]
+                        for layer in zip(*(b.biases for b in backbones))])
+            x = rng.standard_normal((int(rng.integers(1, high + 3)), widths[0]))
+            features, layer_inputs, preacts = forward_trace(stacked, x)
+            assert features.shape == (len(backbones), len(x), widths[-1])
+            np.testing.assert_array_equal(layer_inputs[0], x)
+            for p, b in enumerate(backbones):
+                one = forward_trace(b, x)
+                np.testing.assert_array_equal(features[p], one[0])
+                for got, expected in zip(layer_inputs[1:] + preacts, one[1][1:] + one[2]):
+                    np.testing.assert_array_equal(got[p], expected)
+
 
 class TestBackboneBackward:
     def test_zero_upstream_gives_zero_gradients(self):
