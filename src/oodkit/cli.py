@@ -1,17 +1,19 @@
 """Command line interface.
 
 Subcommands: train, eval, compare, hist, gradcheck. All experiment
-configuration comes from a JSON config file; --seed and --out-dir
-override the config in place. Exit codes: 0 success, 2 usage problems
-(bad flags, unreadable config), 1 anything else, with a one-line
-diagnostic on stderr. eval and hist go on with a checkpoint trained
-under another config, after one warning line on stderr.
+configuration comes from a JSON config file, which is checked as
+written; --seed and --out-dir then replace its seeds and out_dir.
+Exit codes: 0 success, 2 usage problems (bad flags, unreadable config),
+1 anything else, with a one-line diagnostic on stderr. eval and hist go
+on with a checkpoint trained under another config, after one warning
+line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -39,12 +41,12 @@ def _load_config(path: str, args) -> ExperimentConfig:
         raise _UsageError(f"cannot read config {path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise _UsageError(f"config {path} is not valid JSON: {exc}") from exc
-    if isinstance(raw, dict):  # from_dict rejects anything else in one line
-        if getattr(args, "seed", None) is not None:
-            raw["seeds"] = [args.seed]
-        if getattr(args, "out_dir", None) is not None:
-            raw["out_dir"] = args.out_dir
-    return ExperimentConfig.from_dict(raw)
+    cfg = ExperimentConfig.from_dict(raw)
+    if getattr(args, "seed", None) is not None:
+        cfg = dataclasses.replace(cfg, seeds=[args.seed])
+    if getattr(args, "out_dir", None) is not None:
+        cfg = dataclasses.replace(cfg, out_dir=args.out_dir)
+    return cfg
 
 
 def _load_checkpoint(path: str, cfg: ExperimentConfig, expected_head_kind=None):

@@ -5,14 +5,15 @@ model.loss_and_gradients, the gradient that sgd_step applies, against
 central differences of the actual training loss, and reports the worst
 guarded relative error. Each instance is checked once, by the gradient
 call; the finite differences then run the unchecked model code, the
-same arithmetic without the checks. They are stacked: a head instance's
-perturbed feature rows are all scored in one heads._row_losses call,
-since a row's loss reads that row alone; its class-indexed parameters
-are differenced in one head.forward on a head whose classes are the
-perturbed copies side by side; and a backbone instance's perturbed
-copies run through one stacked model.forward_trace. Instances
-too close to a nondifferentiable or near-singular point (a rectifier
-kink, a feature/prototype collision, a near-zero norm entering a
+same arithmetic without the checks. finite_difference stacks the
+perturbed copies of a group of arrays and scores them all in one call:
+a head instance's features in one heads._row_losses call; its
+class-indexed parameters in one head.forward on a head whose classes
+are the copies side by side; the isomaxplus distance scale on the
+distances of one base forward; and a backbone instance's arrays in one
+stacked model.forward_trace. Instances too close to a
+nondifferentiable or near-singular point (a rectifier kink, a
+feature/prototype collision, a near-zero norm entering a
 normalization) are redrawn, since finite differences at a fixed step
 are meaningless there.
 """
@@ -37,32 +38,18 @@ DEFAULT_STEP = 1e-5
 ERROR_FLOOR = 1e-5
 
 
-def finite_difference(loss, theta: np.ndarray) -> np.ndarray:
-    """Central-difference gradient of loss() with respect to the float64
-    array theta, which loss reads. Each entry is perturbed in place by
-    DEFAULT_STEP and restored bit for bit before the next."""
-    grad = np.zeros_like(theta)
-    for i in np.ndindex(theta.shape):
-        keep = theta[i]
-        try:
-            theta[i] = keep + DEFAULT_STEP
-            hi = loss()
-            theta[i] = keep - DEFAULT_STEP
-            lo = loss()
-        finally:
-            theta[i] = keep
-        grad[i] = (hi - lo) / (2.0 * DEFAULT_STEP)
-    return grad
+def finite_difference(row_losses, arrays) -> list:
+    """Central-difference gradient of a mean loss with respect to each of
+    the float64 arrays, which are not written.
 
-
-def _perturbed_copies(arrays) -> list:
-    """The 2E perturbed copies that finite_difference visits, E being the
-    entry count of arrays, stacked along a new leading axis per array.
-
-    Copy k moves the k-th entry of the arrays, taken in order and each in
-    np.ndindex order, to keep + DEFAULT_STEP, and copy E + k to keep -
-    DEFAULT_STEP; every other entry keeps its bits. arrays are not
-    written.
+    With E the entry count of arrays, copy k of the 2E perturbed copies
+    moves the k-th entry, taken array by array and each in np.ndindex
+    order, to keep + DEFAULT_STEP, and copy E + k moves it to
+    keep - DEFAULT_STEP; every other entry keeps its bits. The copies of
+    each array are stacked along a new leading axis, and
+    row_losses(stacks) returns the n row losses of every copy, (2E, n)
+    in copy order. Each difference is (hi - lo) / (2 * DEFAULT_STEP) of
+    the mean over n.
     """
     total = sum(a.size for a in arrays)
     stacks, offset = [], 0
@@ -73,40 +60,10 @@ def _perturbed_copies(arrays) -> list:
         stack[1, offset + entries, entries] = a.ravel() - DEFAULT_STEP
         stacks.append(stack.reshape(2 * total, *a.shape))
         offset += a.size
-    return stacks
-
-
-def _central_differences(losses: np.ndarray, arrays) -> list:
-    """finite_difference of the mean loss with respect to each of arrays,
-    from the (2E, n) row losses of their 2E perturbed copies, in the
-    order of _perturbed_copies."""
-    hi, lo = losses.reshape(2, -1, losses.shape[-1]).mean(axis=-1)
+    hi, lo = row_losses(stacks).reshape(2, total, -1).mean(axis=-1)
     grad = (hi - lo) / (2.0 * DEFAULT_STEP)
     splits = np.cumsum([a.size for a in arrays])[:-1]
     return [g.reshape(a.shape) for g, a in zip(np.split(grad, splits), arrays)]
-
-
-def _feature_differences(head, features: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """finite_difference of heads._mean_loss with respect to features,
-    with every perturbed row scored in one heads._row_losses call.
-
-    A row's loss reads that row alone, so the 2 n d perturbed rows (each
-    row with one entry moved by +DEFAULT_STEP or -DEFAULT_STEP) are scored
-    as one stacked matrix. Each perturbed mean is then the mean of the
-    base row losses with that row's loss replaced, as the per-entry loop
-    forms it. features is not written.
-    """
-    n, d = features.shape
-    base = heads._row_losses(head, features, targets)
-    shifted = np.tile(features[:, np.newaxis, :], (2, 1, d, 1))  # (sign, row, entry, d)
-    entries = np.arange(d)
-    shifted[0, :, entries, entries] += DEFAULT_STEP
-    shifted[1, :, entries, entries] -= DEFAULT_STEP
-    losses = heads._row_losses(head, shifted.reshape(-1, d),
-                               np.repeat(np.tile(targets, 2), d)).reshape(2, n, d)
-    # batches[s, i, k] holds the n row losses with row i perturbed at entry k.
-    batches = np.where(np.eye(n, dtype=bool)[:, np.newaxis, :], losses[..., np.newaxis], base)
-    return _central_differences(batches.reshape(-1, n), [features])[0]
 
 
 def relative_error(analytic, numeric) -> float:
@@ -178,37 +135,35 @@ def _draw_instance(kind: str, rng: np.random.Generator):
 _CLASS_INDEXED = ("weights", "bias", "prototypes")
 
 
-def _class_row_differences(head, features: np.ndarray, targets: np.ndarray) -> dict:
-    """finite_difference of heads._mean_loss with respect to each
-    class-indexed parameter of head, from one head.forward.
-
-    The forward runs on a head of P * c classes holding the P perturbed
-    copies of those parameters, so each feature row's logits against copy
-    p are columns p * c to (p + 1) * c. head is not written.
-    """
-    names = [name for name in head.parameters if name in _CLASS_INDEXED]
-    arrays = [getattr(head, name) for name in names]
-    stacks = _perturbed_copies(arrays)
-    wide = dataclasses.replace(
-        head, **{name: s.reshape(-1, *s.shape[2:]) for name, s in zip(names, stacks)})
-    copies, c = len(stacks[0]), head.classes
-    logits = wide.forward(features)[0].reshape(len(features), copies, c).transpose(1, 0, 2)
-    losses = heads._logit_losses(head, logits.reshape(-1, c), np.tile(targets, copies))
-    return dict(zip(names, _central_differences(losses.reshape(copies, -1), arrays)))
-
-
 def check_head_instance(kind: str, rng: np.random.Generator) -> float:
     """Worst relative error across every gradient of one random instance."""
     head, features, targets = _draw_instance(kind, rng)
     d_features, params = heads.backward(head, features, targets)
+    names = [name for name in head.parameters if name in _CLASS_INDEXED]
+    n, c = len(features), head.classes
 
-    def loss():
-        return heads._mean_loss(head, features, targets)
+    def feature_losses(stacks):
+        (copies,) = stacks
+        return heads._row_losses(head, copies.reshape(-1, head.dim), np.tile(targets, len(copies)))
 
-    numeric = _class_row_differences(head, features, targets)
-    numeric.update((name, finite_difference(loss, getattr(head, name)))
-                   for name in head.parameters if name not in numeric)
-    errors = [relative_error(d_features, _feature_differences(head, features, targets))]
+    def class_row_losses(stacks):
+        # Row i's logits against copy p are the wide head's columns p * c to (p + 1) * c.
+        wide = dataclasses.replace(
+            head, **{name: s.reshape(-1, *s.shape[2:]) for name, s in zip(names, stacks)})
+        logits = wide.forward(features)[0].reshape(n, -1, c).transpose(1, 0, 2)
+        return heads._logit_losses(head, logits.reshape(-1, c), np.tile(targets, len(logits)))
+
+    def scale_losses(stacks):
+        # -|s| * D, the products that forward makes, on one base forward's distances.
+        logits = -np.abs(stacks[0])[:, :, np.newaxis] * head.forward(features)[1]
+        return heads._logit_losses(head, logits.reshape(-1, c), np.tile(targets, len(logits)))
+
+    numeric = dict(zip(names, finite_difference(
+        class_row_losses, [getattr(head, name) for name in names])))
+    if "distance_scale" in head.parameters:
+        (numeric["distance_scale"],) = finite_difference(scale_losses, [head.distance_scale])
+    (d_numeric,) = finite_difference(feature_losses, [features])
+    errors = [relative_error(d_features, d_numeric)]
     errors += [relative_error(params[name], numeric[name]) for name in head.parameters]
     return max(errors)
 
@@ -233,32 +188,23 @@ def _draw_backbone_instance(rng: np.random.Generator):
     raise RuntimeError("could not draw a differentiable backbone instance")
 
 
-def _backbone_differences(state, inputs: np.ndarray, targets: np.ndarray) -> dict:
-    """finite_difference of heads._mean_loss of the backbone features with
-    respect to every backbone array of state, keyed like named_parameters.
-
-    All perturbed copies of the backbone run through one stacked
-    model.forward_trace, and all of their feature rows through one
-    heads._row_losses call. state is not written.
-    """
-    names, arrays = zip(*((name, p) for name, p in model.named_parameters(state)
-                          if name.startswith("backbone.")))
-    # named_parameters alternates backbone.w{i} and backbone.b{i}.
-    stacks = _perturbed_copies(arrays)
-    copies = model.forward_trace(model.MlpBackbone(
-        weights=stacks[0::2], biases=[b[:, np.newaxis] for b in stacks[1::2]]), inputs)[0]
-    losses = heads._row_losses(state.head, copies.reshape(-1, copies.shape[-1]),
-                               np.tile(targets, len(copies)))
-    return dict(zip(names, _central_differences(losses.reshape(len(copies), -1), arrays)))
-
-
 def check_backbone_instance(rng: np.random.Generator) -> float:
     """Worst relative error of the backbone parameter gradients, chained
     through a randomly chosen head."""
     state, inputs, targets = _draw_backbone_instance(rng)
     _, grads, _ = model.loss_and_gradients(state, inputs, targets)
+    names, arrays = zip(*((name, p) for name, p in model.named_parameters(state)
+                          if name.startswith("backbone.")))
+
+    def backbone_losses(stacks):
+        # named_parameters alternates backbone.w{i} and backbone.b{i}.
+        copies = model.forward_trace(model.MlpBackbone(
+            weights=stacks[0::2], biases=[b[:, np.newaxis] for b in stacks[1::2]]), inputs)[0]
+        return heads._row_losses(state.head, copies.reshape(-1, copies.shape[-1]),
+                                 np.tile(targets, len(copies)))
+
     return max(relative_error(grads[name], numeric)
-               for name, numeric in _backbone_differences(state, inputs, targets).items())
+               for name, numeric in zip(names, finite_difference(backbone_losses, arrays)))
 
 
 _STREAM_IDS = {"softmax": 11, "isomax": 12, "isomaxplus": 13, "backbone": 14}

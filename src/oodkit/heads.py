@@ -278,11 +278,7 @@ def training_loss(head: ClassifierHead, features, targets) -> float:
     rather than fused into a log-softmax.
     """
     features = _check_features(head, features)
-    return _mean_loss(head, features, _check_targets(head, targets, len(features)))
-
-
-def _mean_loss(head: ClassifierHead, features: np.ndarray, targets: np.ndarray) -> float:
-    """training_loss of checked features and targets."""
+    targets = _check_targets(head, targets, len(features))
     return float(_row_losses(head, features, targets).mean())
 
 

@@ -283,10 +283,28 @@ def fit_trace_oracle(state, stream, cfg):
 
 
 # ---------------------------------------------------------------------------
-# The gradient check as it was written before its finite differences went
-# through the unchecked heads._mean_loss: every perturbed loss is a fully
-# checked heads.training_loss call. gradcheck.run_suite must match it bit
-# for bit.
+# The gradient check as it was written before its finite differences were
+# stacked: one entry at a time, every perturbed loss a fully checked
+# heads.training_loss call. gradcheck.run_suite must match it bit for bit.
+
+
+def finite_difference_oracle(loss, theta):
+    """Central-difference gradient of loss() with respect to the float64
+    array theta, which loss reads. Each entry is perturbed in place by
+    gradcheck.DEFAULT_STEP and restored bit for bit before the next."""
+    step = gradcheck.DEFAULT_STEP
+    grad = np.zeros_like(theta)
+    for i in np.ndindex(theta.shape):
+        keep = theta[i]
+        try:
+            theta[i] = keep + step
+            hi = loss()
+            theta[i] = keep - step
+            lo = loss()
+        finally:
+            theta[i] = keep
+        grad[i] = (hi - lo) / (2.0 * step)
+    return grad
 
 
 def _check_head_instance_oracle(kind, rng):
@@ -298,7 +316,7 @@ def _check_head_instance_oracle(kind, rng):
     def loss():
         return heads.training_loss(head, features, targets)
 
-    return max(gradcheck.relative_error(analytic, gradcheck.finite_difference(loss, theta))
+    return max(gradcheck.relative_error(analytic, finite_difference_oracle(loss, theta))
                for analytic, theta in checks)
 
 
@@ -328,7 +346,7 @@ def _check_backbone_instance_oracle(rng):
     def loss():
         return heads.training_loss(head, model.backbone_forward(backbone, inputs), targets)
 
-    return max(gradcheck.relative_error(grads[name], gradcheck.finite_difference(loss, p))
+    return max(gradcheck.relative_error(grads[name], finite_difference_oracle(loss, p))
                for name, p in model.named_parameters(state) if name.startswith("backbone."))
 
 

@@ -146,6 +146,25 @@ class TestMalformedConfig:
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+    @pytest.mark.parametrize("seeds, message", [
+        (2, "seeds must be a list of ints, got 2"),
+        ([10**30], "seeds must be at most 9223372036854775807, the largest a checkpoint "
+                   "holds, got [1000000000000000000000000000000]"),
+        ([], "at least one seed is required"),
+    ], ids=["int", "too_large", "empty"])
+    def test_seeds_are_checked_as_written_by_every_command(self, config_path, tmp_path,
+                                                            capsys, seeds, message):
+        # train --seed replaces the seeds only after the file's own are
+        # checked, so train rejects the file as eval and hist do.
+        assert cli_main(["train", "--config", str(config_path())]) == 0
+        ckpt = str(tmp_path / "out" / "checkpoint_seed1.bin")
+        bad = str(config_path(name="bad.json", seeds=seeds))
+        capsys.readouterr()
+        for argv in (["train", "--seed", "1"], ["eval", "--checkpoint", ckpt],
+                     ["hist", "--checkpoint", ckpt]):
+            assert cli_main([*argv, "--config", bad]) == 1, argv
+            assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("row, message", [
         ("x,0.5,1.5", "field 'label' must be int, got 'x'"),
         ("0,abc,1.5", "field 'f0' must be float, got 'abc'"),

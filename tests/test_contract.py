@@ -157,11 +157,3 @@ def test_kernels_equal_their_public_functions(n):
         np.testing.assert_array_equal(numerics._softmax_rows(a, scale),
                                       numerics.stable_softmax_rows(a, scale))
 
-
-@pytest.mark.parametrize("kind", heads.HEAD_KINDS)
-def test_mean_loss_equals_training_loss(kind):
-    head = make_head(kind)
-    features = np.random.default_rng(3).standard_normal((9, 3)) * 2.0
-    targets = np.random.default_rng(4).integers(0, 2, size=9)
-    assert heads._mean_loss(head, features, targets) == heads.training_loss(
-        head, features, targets)

@@ -9,7 +9,7 @@ import re
 
 import numpy as np
 import pytest
-from oracles import run_suite_oracle
+from oracles import finite_difference_oracle, run_suite_oracle
 
 from oodkit import experiment, gradcheck, heads, model
 from oodkit.cli import GRADCHECK_TOLERANCE, cli_main
@@ -116,19 +116,44 @@ BUGS = {
 }
 
 
-def test_finite_difference_of_a_quadratic_restores_theta():
+GOLDEN_GRADCHECK_STDOUT = """\
+softmax: max relative error 1.135e-06
+isomax: max relative error 1.776e-05
+isomaxplus: max relative error 1.566e-05
+backbone: max relative error 1.776e-05
+overall max relative error 1.776e-05 (OK, tolerance 1e-04)
+"""
+
+
+def mean_loss(head, features, targets) -> float:
+    """heads.training_loss without its checks."""
+    return float(heads._row_losses(head, features, targets).mean())
+
+
+def test_finite_difference_of_a_quadratic_leaves_its_arrays_unwritten():
     # loss = 0.5 * theta' A theta has gradient A theta; central differences
-    # are exact on a quadratic up to rounding.
+    # are exact on a quadratic up to rounding. theta is two arrays.
     rng = np.random.default_rng(3)
-    a = rng.standard_normal((6, 6))
+    a = rng.standard_normal((9, 9))
     a = a + a.T
-    theta = rng.standard_normal((2, 3))
-    before = theta.tobytes()
-    grad = gradcheck.finite_difference(
-        lambda: 0.5 * theta.ravel() @ a @ theta.ravel(), theta)
-    assert theta.tobytes() == before
-    assert grad.shape == theta.shape
-    np.testing.assert_allclose(grad.ravel(), a @ theta.ravel(), rtol=1e-7, atol=1e-9)
+    arrays = [rng.standard_normal((2, 3)), rng.standard_normal(3)]
+    before = [x.tobytes() for x in arrays]
+
+    def row_losses(stacks):
+        theta = np.concatenate([x.reshape(len(x), -1) for x in stacks], axis=1)
+        return 0.5 * np.einsum("ki,ij,kj->k", theta, a, theta)[:, np.newaxis]
+
+    grads = gradcheck.finite_difference(row_losses, arrays)
+    assert [x.tobytes() for x in arrays] == before
+    assert [g.shape for g in grads] == [x.shape for x in arrays]
+    theta = np.concatenate([x.ravel() for x in arrays])
+    np.testing.assert_allclose(np.concatenate([g.ravel() for g in grads]), a @ theta,
+                               rtol=1e-7, atol=1e-9)
+
+
+def test_gradcheck_stdout_is_the_golden_one(capsys):
+    assert cli_main(["gradcheck", "--instances", "100", "--seed", "0"]) == 0
+    assert capsys.readouterr().out == GOLDEN_GRADCHECK_STDOUT
 
 
 def test_unmodified_gradients_pass_at_the_same_size(capsys):
@@ -179,16 +204,39 @@ def test_rolled_class_gradient_rows_fail_every_head_kind(monkeypatch):
         assert results[kind] > GRADCHECK_TOLERANCE, kind
 
 
+def record_differences(monkeypatch, draw: str):
+    """Record the instance of every gradcheck._<draw> call and, per
+    finite_difference call, its arrays and differences, asserting that
+    the arrays come back unwritten."""
+    drawn, calls = [], []
+    draw_instance, finite_difference = getattr(gradcheck, draw), gradcheck.finite_difference
+
+    def recorded_draw(*args):
+        drawn.append(draw_instance(*args))
+        calls.clear()
+        return drawn[-1]
+
+    def recorded(row_losses, arrays):
+        before = [a.tobytes() for a in arrays]
+        numeric = finite_difference(row_losses, arrays)
+        assert [a.tobytes() for a in arrays] == before
+        calls.append((arrays, numeric))
+        return numeric
+
+    monkeypatch.setattr(gradcheck, draw, recorded_draw)
+    monkeypatch.setattr(gradcheck, "finite_difference", recorded)
+    return drawn, calls
+
+
 @pytest.mark.parametrize("kind", heads.HEAD_KINDS)
-def test_stacked_feature_differences_match_the_per_entry_loop(kind):
+def test_stacked_feature_differences_match_the_per_entry_loop(kind, monkeypatch):
+    drawn, calls = record_differences(monkeypatch, "_draw_instance")
     rng = np.random.default_rng([7, gradcheck._STREAM_IDS[kind]])
     for _ in range(1000):
-        head, features, targets = gradcheck._draw_instance(kind, rng)
-        before = features.tobytes()
-        stacked = gradcheck._feature_differences(head, features, targets)
-        assert features.tobytes() == before
-        looped = gradcheck.finite_difference(
-            lambda: heads._mean_loss(head, features, targets), features)
+        gradcheck.check_head_instance(kind, rng)
+        head, features, targets = drawn[-1]
+        [(stacked,)] = [numeric for arrays, numeric in calls if arrays[0] is features]
+        looped = finite_difference_oracle(lambda: mean_loss(head, features, targets), features)
         if kind == "softmax":
             # The stacked product features @ weights.T can round a row in
             # its last bits differently from the product over the n rows.
@@ -198,45 +246,49 @@ def test_stacked_feature_differences_match_the_per_entry_loop(kind):
 
 
 @pytest.mark.parametrize("kind", heads.HEAD_KINDS)
-def test_stacked_class_row_differences_match_the_per_entry_loop(kind):
+def test_stacked_class_row_differences_match_the_per_entry_loop(kind, monkeypatch):
+    # The class-indexed parameters, and the isomaxplus distance scale.
+    drawn, calls = record_differences(monkeypatch, "_draw_instance")
     rng = np.random.default_rng([8, gradcheck._STREAM_IDS[kind]])
     for _ in range(1000):
-        head, features, targets = gradcheck._draw_instance(kind, rng)
-        before = {name: getattr(head, name).tobytes() for name in head.parameters}
-        stacked = gradcheck._class_row_differences(head, features, targets)
-        assert {name: getattr(head, name).tobytes() for name in head.parameters} == before
-        assert sorted(stacked) == sorted(set(head.parameters) - {"distance_scale"})
+        gradcheck.check_head_instance(kind, rng)
+        head, features, targets = drawn[-1]
+        names = {id(getattr(head, name)): name for name in head.parameters}
+        stacked = {names[id(p)]: g for arrays, numeric in calls
+                   if arrays[0] is not features for p, g in zip(arrays, numeric)}
+        assert sorted(stacked) == sorted(head.parameters)
         for name, numeric in stacked.items():
-            looped = gradcheck.finite_difference(
-                lambda: heads._mean_loss(head, features, targets), getattr(head, name))
+            looped = finite_difference_oracle(lambda: mean_loss(head, features, targets),
+                                              getattr(head, name))
             np.testing.assert_array_equal(numeric, looped)
 
 
-def test_stacked_backbone_differences_match_the_per_entry_loop():
+def test_stacked_backbone_differences_match_the_per_entry_loop(monkeypatch):
+    drawn, calls = record_differences(monkeypatch, "_draw_backbone_instance")
     rng = np.random.default_rng([8, gradcheck._STREAM_IDS["backbone"]])
     for _ in range(1000):
-        state, inputs, targets = gradcheck._draw_backbone_instance(rng)
+        gradcheck.check_backbone_instance(rng)
+        state, inputs, targets = drawn[-1]
         entries = [(name, p) for name, p in model.named_parameters(state)
                    if name.startswith("backbone.")]
-        before = [p.tobytes() for _, p in entries]
-        stacked = gradcheck._backbone_differences(state, inputs, targets)
-        assert [p.tobytes() for _, p in entries] == before
-        assert list(stacked) == [name for name, _ in entries]
+        [(arrays, stacked)] = calls
+        assert [id(p) for p in arrays] == [id(p) for _, p in entries]
+
         def loss():
-            return heads._mean_loss(
-                state.head, model.backbone_forward(state.backbone, inputs), targets)
+            return mean_loss(state.head, model.backbone_forward(state.backbone, inputs),
+                             targets)
 
         # The head scores the feature rows of every copy in one call, and
         # under softmax that product can round a row in its last bits
         # differently from the product over the n rows. A few ulps of a mean
         # loss, over 2 * DEFAULT_STEP, bound the difference on entries near 0.
         ulps = 8 * np.finfo(np.float64).eps * max(loss(), 1.0) / (2 * gradcheck.DEFAULT_STEP)
-        for name, p in entries:
-            looped = gradcheck.finite_difference(loss, p)
+        for (_, p), numeric in zip(entries, stacked):
+            looped = finite_difference_oracle(loss, p)
             if state.head.kind == "softmax":
-                np.testing.assert_allclose(stacked[name], looped, rtol=1e-7, atol=ulps)
+                np.testing.assert_allclose(numeric, looped, rtol=1e-7, atol=ulps)
             else:
-                np.testing.assert_array_equal(stacked[name], looped)
+                np.testing.assert_array_equal(numeric, looped)
 
 
 def count_head_forwards(monkeypatch) -> list:
@@ -251,10 +303,10 @@ def count_head_forwards(monkeypatch) -> list:
 
 
 def test_a_head_instance_needs_the_same_head_forwards_for_any_parameter_count(monkeypatch):
-    # Beyond the checked backward call: two forwards for the features (the
-    # base rows and the stacked perturbed rows), one for every class-indexed
-    # parameter entry at once, and two for the distance scale, however
-    # many entries the head has.
+    # Beyond the checked backward call: one forward for the stacked
+    # perturbed feature rows, one for every class-indexed parameter entry
+    # at once, and one base forward whose distances give both distance
+    # scale copies, however many entries the head has.
     forwards, drawn = count_head_forwards(monkeypatch), []
     draw_instance = gradcheck._draw_instance
 
@@ -273,7 +325,7 @@ def test_a_head_instance_needs_the_same_head_forwards_for_any_parameter_count(mo
             head, features, targets = drawn[-1]
             forwards.clear()
             heads.backward(head, features, targets)
-            assert checked - len(forwards) == 3 + 2 * ("distance_scale" in head.parameters)
+            assert checked - len(forwards) == 2 + ("distance_scale" in head.parameters)
             sizes.add(sum(getattr(head, name).size for name in head.parameters))
         assert len(sizes) > 1
 

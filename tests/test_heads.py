@@ -221,6 +221,21 @@ class TestBackward:
         np.testing.assert_array_equal(params["prototypes"], 0.0)
         assert params["distance_scale"] == 0.0
 
+    def test_zero_rows_get_zero_gradients_under_isomaxplus(self):
+        # The zero-vector convention of the normalization: an all-zero
+        # feature row and an all-zero prototype row get exactly zero rows.
+        rng = np.random.default_rng(13)
+        features = rng.standard_normal((4, 3))
+        features[1] = 0.0
+        prototypes = rng.standard_normal((3, 3))
+        prototypes[2] = 0.0
+        head = IsoMaxPlusHead(prototypes=prototypes, distance_scale=1.5)
+        d_features, params = backward(head, features, [0, 1, 2, 0])
+        np.testing.assert_array_equal(d_features[1], 0.0)
+        np.testing.assert_array_equal(params["prototypes"][2], 0.0)
+        assert np.all(np.abs(d_features[[0, 2, 3]]).sum(axis=1) > 0)
+        assert np.all(np.abs(params["prototypes"][:2]).sum(axis=1) > 0)
+
     def test_softmax_shift_invariance_of_loss(self):
         rng = np.random.default_rng(12)
         head = SoftMaxHead(weights=rng.standard_normal((3, 4)),

@@ -88,11 +88,15 @@ class TestBackboneBackward:
         assert worst <= 1e-4
 
     def test_rectifier_subgradient_zero_at_kink(self):
-        # one hidden unit sitting exactly at 0 must pass no gradient
-        b = MlpBackbone(weights=[np.array([[1.0]]), np.array([[1.0]])],
-                        biases=[np.zeros(1), np.zeros(1)])
-        grads = backbone_backward(b, forward_trace(b, [[0.0]]), np.array([[1.0]]))
-        np.testing.assert_array_equal(grads["backbone.w0"], [[0.0]])
+        # A hidden unit sitting exactly at 0 passes no gradient to its
+        # weights or its bias; the active unit beside it does.
+        b = MlpBackbone(weights=[np.array([[1.0], [1.0]]), np.array([[1.0, 1.0]])],
+                        biases=[np.array([-2.0, 0.0]), np.zeros(1)])
+        trace = forward_trace(b, [[2.0]])
+        np.testing.assert_array_equal(trace[2][0], [[0.0, 2.0]])
+        grads = backbone_backward(b, trace, np.array([[1.0]]))
+        np.testing.assert_array_equal(grads["backbone.w0"], [[0.0], [2.0]])
+        np.testing.assert_array_equal(grads["backbone.b0"], [0.0, 1.0])
 
 
 def scratch():
